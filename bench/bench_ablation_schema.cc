@@ -59,8 +59,6 @@ Result<SchemaRun> Measure(EngineKind kind, PreferenceLevel level) {
   return out;
 }
 
-void PrintPreparedStatementAblation();
-
 void PrintAblation() {
   std::printf(
       "Ablation A1: optimized (Figure 14) vs simple (Figure 8) schema\n");
@@ -100,56 +98,6 @@ void PrintAblation() {
   std::printf(
       "(the §5.4 merging collapses per-value tables into value columns: "
       "fewer, flatter subqueries and less SQL text per preference)\n\n");
-  PrintPreparedStatementAblation();
-}
-
-/// Extra ablation beyond the paper: submitting SQL text per match (the DB2
-/// methodology of §6) vs binding the rule queries once per preference.
-void PrintPreparedStatementAblation() {
-  std::printf("Ablation A1b: per-match SQL submission vs prepared "
-              "statements (High preference, optimized schema)\n");
-  auto measure = [](bool prepared) -> Result<double> {
-    server::PolicyServer::Options options;
-    options.engine = EngineKind::kSql;
-    options.use_prepared_statements = prepared;
-    options.enable_match_cache = false;  // price the engine, not the memo
-    P3PDB_ASSIGN_OR_RETURN(auto server,
-                           server::PolicyServer::Create(options));
-    std::vector<int64_t> ids;
-    for (const p3p::Policy& policy : workload::FortuneCorpus()) {
-      P3PDB_ASSIGN_OR_RETURN(int64_t id, server->InstallPolicy(policy));
-      ids.push_back(id);
-    }
-    P3PDB_ASSIGN_OR_RETURN(
-        server::CompiledPreference pref,
-        server->CompilePreference(JrcPreference(PreferenceLevel::kHigh)));
-    for (int64_t id : ids) {  // warm-up
-      auto r = server->MatchPolicyId(pref, id);
-      if (!r.ok()) return r.status();
-    }
-    TimingStats stats;
-    for (int rep = 0; rep < 3; ++rep) {
-      for (int64_t id : ids) {
-        Stopwatch sw;
-        auto r = server->MatchPolicyId(pref, id);
-        double us = sw.ElapsedMicros();
-        if (!r.ok()) return r.status();
-        stats.Add(us);
-      }
-    }
-    return stats.Average();
-  };
-  auto text_mode = measure(false);
-  auto prepared_mode = measure(true);
-  if (!text_mode.ok() || !prepared_mode.ok()) {
-    std::printf("error running A1b\n");
-    return;
-  }
-  std::printf(
-      "  per-match text submission: %s   prepared once: %s   (%.1fx)\n\n",
-      FormatMicros(text_mode.value()).c_str(),
-      FormatMicros(prepared_mode.value()).c_str(),
-      text_mode.value() / prepared_mode.value());
 }
 
 void BM_HighPreferenceOptimizedSchema(benchmark::State& state) {

@@ -36,7 +36,7 @@ using workload::VolgaPolicy;
 /// Executor ablations at scale: the per-match SQL query path against a
 /// 10k-policy corpus, one compiled (Medium) preference, matches sampled
 /// across the corpus. The server runs the steady-state matcher
-/// configuration (rule queries prepared at compile time, metrics off — see
+/// configuration (metrics and statement telemetry off — see
 /// MakeBenchServer) so the record isolates engine execution cost. With the
 /// planner on, every sampled match probes cached hash-join key sets; with
 /// `--no-planner` each match runs correlated EXISTS subqueries (PR 5's

@@ -26,12 +26,9 @@ Result<std::unique_ptr<PolicyServer>> MakeBenchServer(
   options.max_subquery_depth = max_subquery_depth;
   options.enable_planner = enable_planner;
   if (steady_state) {
-    // Deployed-matcher configuration: preferences compile to prepared rule
-    // queries (per-match cost is execution only) and the metrics registry
-    // and statement telemetry are off so timings don't include counter
-    // upkeep. fig20's 10k-scale record uses this; the small-scale figures
-    // keep the paper's text-per-match methodology.
-    options.use_prepared_statements = true;
+    // Deployed-matcher configuration: the metrics registry and statement
+    // telemetry are off so timings don't include counter upkeep. fig20's
+    // 10k-scale record uses this.
     options.collect_metrics = false;
     options.enable_statement_stats = false;
   }

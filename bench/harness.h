@@ -95,11 +95,10 @@ class MatchingExperiment {
 /// P3PDB_NO_PLANNER like every other server.
 ///
 /// `steady_state` configures the server the way a deployed matcher runs
-/// between policy updates: rule queries are prepared once at preference
-/// compile time (conversion cost, reported separately by fig20) and the
-/// server's own metrics registry is off, so per-match timings measure the
-/// engine rather than text re-submission and counter upkeep. The default
-/// keeps the paper methodology (SQL text submitted per match).
+/// between policy updates: the server's own metrics registry and statement
+/// telemetry are off, so per-match timings measure the engine rather than
+/// counter upkeep. Either way the rule queries' SQL text is submitted per
+/// match (the paper methodology) and served from the plan cache.
 /// Observability add-ons for a bench server, driven by the `--admin`,
 /// `--slow-us`, and `--trace-every` flags: statement telemetry plus the
 /// embedded HTTP admin endpoint, so a run can be scraped live

@@ -189,7 +189,7 @@ PolicyServer::PolicyServer(Options options)
     storage_recovered_txns_ =
         metrics_.GetCounter("p3p_storage_recovered_txns_total");
   }
-  if (options_.enable_match_cache && !UsesLegacyMaterialization()) {
+  if (options_.enable_match_cache) {
     match_cache_ = std::make_unique<MatchCache>(
         MatchCache::Options{
             .shards = options_.match_cache_shards,
@@ -223,11 +223,6 @@ bool PolicyServer::UsesSqlMatching() const {
 
 bool PolicyServer::UsesSimpleSchema() const {
   return options_.engine == EngineKind::kSqlSimple ||
-         options_.engine == EngineKind::kXQueryXTable;
-}
-
-bool PolicyServer::UsesLegacyMaterialization() const {
-  return options_.materialize_applicable_policy ||
          options_.engine == EngineKind::kXQueryXTable;
 }
 
@@ -275,17 +270,15 @@ Status PolicyServer::InitSchema() {
     reference_shredder_ = std::make_unique<shredder::ReferenceShredder>(&db_);
     P3PDB_RETURN_IF_ERROR(
         db_.ExecuteScript(translator::ApplicablePolicyDdl()));
-    if (!UsesLegacyMaterialization()) {
-      // Parameterized matching never joins ApplicablePolicy — the rule
-      // queries only need it as a one-row FROM anchor so catch-all rules
-      // return a row. Install that anchor once; matches never mutate it.
-      sqldb::Table* table =
-          db_.GetMutableTable(translator::kApplicablePolicyTable);
-      if (table == nullptr) {
-        return Status::Internal("ApplicablePolicy table missing");
-      }
-      P3PDB_RETURN_IF_ERROR(table->Insert({Value::Integer(0)}));
+    // The rule queries bind the policy id and never join ApplicablePolicy;
+    // they only need it as a one-row FROM anchor so catch-all rules return
+    // a row. Install that anchor once; matches never mutate it.
+    sqldb::Table* table =
+        db_.GetMutableTable(translator::kApplicablePolicyTable);
+    if (table == nullptr) {
+      return Status::Internal("ApplicablePolicy table missing");
     }
+    P3PDB_RETURN_IF_ERROR(table->Insert({Value::Integer(0)}));
   }
   return Status::OK();
 }
@@ -332,18 +325,17 @@ Status PolicyServer::RestoreFromStorage() {
     }
     reference_shredder_ = std::make_unique<shredder::ReferenceShredder>(&db_);
     reference_shredder_->ResumeIds();
-    if (!UsesLegacyMaterialization()) {
-      // Re-seed the one-row FROM anchor if a legacy-materialized run (which
-      // mutates the table per match) left it empty.
-      sqldb::Table* anchor =
-          db_.GetMutableTable(translator::kApplicablePolicyTable);
-      if (anchor->RowCount() == 0) {
-        P3PDB_RETURN_IF_ERROR(db_.BeginTransaction());
-        Status inserted = anchor->Insert({Value::Integer(0)});
-        Status commit = db_.CommitTransaction();
-        P3PDB_RETURN_IF_ERROR(inserted);
-        P3PDB_RETURN_IF_ERROR(commit);
-      }
+    // Re-seed the one-row FROM anchor if the store holds it empty (older
+    // stores materialized the applicable policy into it per match, and
+    // their XTABLE servers never seeded it).
+    sqldb::Table* anchor =
+        db_.GetMutableTable(translator::kApplicablePolicyTable);
+    if (anchor->RowCount() == 0) {
+      P3PDB_RETURN_IF_ERROR(db_.BeginTransaction());
+      Status inserted = anchor->Insert({Value::Integer(0)});
+      Status commit = db_.CommitTransaction();
+      P3PDB_RETURN_IF_ERROR(inserted);
+      P3PDB_RETURN_IF_ERROR(commit);
     }
   }
 
@@ -565,7 +557,7 @@ Result<CompiledPreference> PolicyServer::CompilePreference(
 Result<CompiledPreference> PolicyServer::CompilePreference(
     const appel::AppelRuleset& ruleset, obs::TraceContext* trace) {
   // Read-only against the server: translation touches no shared state and
-  // statement preparation only reads the catalog, so compiles run
+  // the XTABLE bind check only reads the catalog, so compiles run
   // concurrently with matches and each other.
   std::shared_lock<std::shared_mutex> lock(mu_);
   obs::TraceContext* t = EffectiveTrace(trace);
@@ -593,15 +585,13 @@ Result<CompiledPreference> PolicyServer::CompilePreference(
         pref.appel_text = appel::RulesetToText(ruleset);
         break;
       case EngineKind::kSql: {
-        translator::OptimizedSqlTranslator translator(
-            /*parameterized=*/!UsesLegacyMaterialization());
+        translator::OptimizedSqlTranslator translator(/*parameterized=*/true);
         P3PDB_ASSIGN_OR_RETURN(pref.sql,
                                translator.TranslateRuleset(ruleset, t));
         break;
       }
       case EngineKind::kSqlSimple: {
-        translator::SimpleSqlTranslator translator(
-            /*parameterized=*/!UsesLegacyMaterialization());
+        translator::SimpleSqlTranslator translator(/*parameterized=*/true);
         P3PDB_ASSIGN_OR_RETURN(pref.sql,
                                translator.TranslateRuleset(ruleset, t));
         break;
@@ -621,11 +611,9 @@ Result<CompiledPreference> PolicyServer::CompilePreference(
         P3PDB_ASSIGN_OR_RETURN(pref.xquery_text,
                                to_xq.TranslateRuleset(ruleset));
         xquery::XTableTranslator to_sql;
-        for (const std::string& text : pref.xquery_text.rule_queries) {
-          // XTABLE consumes the XQuery *text*, so parse then translate —
-          // both conversions are part of this path's cost.
-          P3PDB_ASSIGN_OR_RETURN(xquery::Query q, xquery::ParseQuery(text));
-          P3PDB_ASSIGN_OR_RETURN(std::string sql, to_sql.TranslateQuery(q));
+        P3PDB_ASSIGN_OR_RETURN(pref.sql,
+                               to_sql.TranslateRuleset(pref.xquery_text));
+        for (const std::string& sql : pref.sql.rule_queries) {
           // Prepare-time validation, as DB2 would do: parse and bind the
           // generated SQL, enforcing the statement complexity budget. This
           // is where the deeply nested Medium translation fails (Figure
@@ -637,24 +625,9 @@ Result<CompiledPreference> PolicyServer::CompilePreference(
             P3PDB_RETURN_IF_ERROR(binder.BindSelect(
                 static_cast<sqldb::SelectStmt*>(stmt.get())));
           }
-          pref.xtable_sql.push_back(std::move(sql));
         }
         break;
       }
-    }
-  }
-  if (options_.use_prepared_statements) {
-    obs::ScopedSpan prepare_span(t, "prepare");
-    for (const std::string& sql : pref.sql.rule_queries) {
-      P3PDB_ASSIGN_OR_RETURN(sqldb::PreparedStatement stmt, db_.Prepare(sql));
-      pref.prepared_sql.push_back(std::move(stmt));
-    }
-    for (const std::string& sql : pref.xtable_sql) {
-      P3PDB_ASSIGN_OR_RETURN(sqldb::PreparedStatement stmt, db_.Prepare(sql));
-      pref.prepared_sql.push_back(std::move(stmt));
-    }
-    if (prepare_span.active()) {
-      prepare_span.AddCount("statements", pref.prepared_sql.size());
     }
   }
   if (options_.collect_metrics) {
@@ -717,21 +690,6 @@ std::optional<int64_t> PolicyServer::FindPolicyIdByAboutLocked(
   return it->second;
 }
 
-Status PolicyServer::MaterializeApplicablePolicy(int64_t policy_id) {
-  // A direct storage operation (not a SQL round-trip): this is server
-  // plumbing around the generated queries, equivalent to binding the
-  // one-row temporary table of the paper's Figure 13 preamble.
-  sqldb::Table* table =
-      db_.GetMutableTable(translator::kApplicablePolicyTable);
-  if (table == nullptr) {
-    return Status::Internal("ApplicablePolicy table missing");
-  }
-  for (size_t row_id = 0; row_id < table->SlotCount(); ++row_id) {
-    if (table->IsLive(row_id)) table->Delete(row_id);
-  }
-  return table->Insert({Value::Integer(policy_id)});
-}
-
 Result<MatchResult> PolicyServer::EvaluateAgainstCurrent(
     const CompiledPreference& pref, int64_t policy_id,
     obs::TraceContext* trace) {
@@ -776,39 +734,26 @@ Result<MatchResult> PolicyServer::EvaluateAgainstCurrent(
       break;
     }
     case EngineKind::kSql:
-    case EngineKind::kSqlSimple: {
-      if (UsesLegacyMaterialization()) {
-        P3PDB_RETURN_IF_ERROR(MaterializeApplicablePolicy(policy_id));
-      }
-      const bool prepared = !pref.prepared_sql.empty();
-      const size_t rule_count = pref.sql.rule_queries.size();
+    case EngineKind::kSqlSimple:
+    case EngineKind::kXQueryXTable: {
       std::vector<Value> params;  // reused across rules (capacity sticks)
-      for (size_t i = 0; i < rule_count; ++i) {
+      for (size_t i = 0; i < pref.sql.rule_queries.size(); ++i) {
         obs::ScopedSpan rule_span(trace, "rule-query");
         if (rule_span.active()) {
           rule_span.SetAttr("rule", std::to_string(i));
           rule_span.SetAttr("behavior", pref.sql.behaviors[i]);
         }
-        // In the default (parameterized) mode, every `?` of the rule query
-        // binds the applicable policy id; catch-all rules take none.
+        // Every `?` of the rule query binds the applicable policy id;
+        // catch-all rules take none. The SQL text is submitted per match,
+        // as in the paper's methodology; the plan cache makes a repeat
+        // submission skip parse, bind and plan.
         const size_t param_count = i < pref.sql.param_counts.size()
                                        ? pref.sql.param_counts[i]
                                        : 0;
-        QueryResult rows;
-        if (prepared) {
-          params.assign(param_count, Value::Integer(policy_id));
-          P3PDB_ASSIGN_OR_RETURN(rows,
-                                 pref.prepared_sql[i].Execute(params, trace));
-        } else if (param_count > 0) {
-          params.assign(param_count, Value::Integer(policy_id));
-          P3PDB_ASSIGN_OR_RETURN(
-              rows, db_.Execute(pref.sql.rule_queries[i], params, trace));
-        } else {
-          // Paper methodology: the SQL text is submitted to the database
-          // for every match; query time includes its prepare.
-          P3PDB_ASSIGN_OR_RETURN(
-              rows, db_.Execute(pref.sql.rule_queries[i], trace));
-        }
+        params.assign(param_count, Value::Integer(policy_id));
+        P3PDB_ASSIGN_OR_RETURN(
+            QueryResult rows,
+            db_.Execute(pref.sql.rule_queries[i], params, trace));
         if (options_.collect_metrics) rule_queries_total_->Increment();
         if (rule_span.active()) rule_span.AddCount("rows", rows.rows.size());
         if (!rows.rows.empty()) {
@@ -839,23 +784,6 @@ Result<MatchResult> PolicyServer::EvaluateAgainstCurrent(
       }
       break;
     }
-    case EngineKind::kXQueryXTable: {
-      P3PDB_RETURN_IF_ERROR(MaterializeApplicablePolicy(policy_id));
-      for (size_t i = 0; i < pref.xtable_sql.size(); ++i) {
-        obs::ScopedSpan rule_span(trace, "rule-query");
-        if (rule_span.active()) rule_span.SetAttr("rule", std::to_string(i));
-        P3PDB_ASSIGN_OR_RETURN(QueryResult rows,
-                               db_.Execute(pref.xtable_sql[i], trace));
-        if (options_.collect_metrics) rule_queries_total_->Increment();
-        if (rule_span.active()) rule_span.AddCount("rows", rows.rows.size());
-        if (!rows.rows.empty()) {
-          result.behavior = rows.rows[0][0].AsText();
-          result.fired_rule_index = static_cast<int>(i);
-          break;
-        }
-      }
-      break;
-    }
   }
   if (options_.record_matches) {
     obs::ScopedSpan record_span(trace, "record-match");
@@ -872,60 +800,7 @@ Result<MatchResult> PolicyServer::MatchUri(const CompiledPreference& pref,
 Result<MatchResult> PolicyServer::MatchUri(const CompiledPreference& pref,
                                            std::string_view local_path,
                                            obs::TraceContext* trace) {
-  obs::TraceContext* t = EffectiveTrace(trace);
-  obs::ScopedSpan match_span(t, "match");
-  if (match_span.active()) {
-    match_span.SetAttr("engine", EngineKindName(options_.engine));
-    match_span.SetAttr("uri", local_path);
-  }
-  std::chrono::steady_clock::time_point start{};
-  if (options_.collect_metrics) start = std::chrono::steady_clock::now();
-
-  // Read-only matching runs under the shared lock; only the legacy
-  // materialized mode mutates the ApplicablePolicy row and must exclude
-  // other matchers.
-  std::shared_lock<std::shared_mutex> shared(mu_, std::defer_lock);
-  std::unique_lock<std::shared_mutex> exclusive(mu_, std::defer_lock);
-  if (UsesLegacyMaterialization()) {
-    exclusive.lock();
-  } else {
-    shared.lock();
-  }
-  const bool cacheable = match_cache_ != nullptr && pref.fingerprint != 0;
-  bool cache_hit = false;
-  MatchCacheKey key;
-  Result<MatchResult> result = [&]() -> Result<MatchResult> {
-    if (cacheable) {
-      key = MatchCacheKey{pref.fingerprint, MatchSubject::kUri, -1,
-                          std::string(local_path),
-                          static_cast<uint8_t>(options_.engine)};
-      if (std::optional<MatchResult> hit =
-              CachedMatch(key, catalog_epoch_, match_span)) {
-        cache_hit = true;
-        if (options_.record_matches) {
-          obs::ScopedSpan record_span(t, "record-match");
-          P3PDB_RETURN_IF_ERROR(RecordMatch(*hit));
-        }
-        return *hit;
-      }
-    }
-    P3PDB_ASSIGN_OR_RETURN(
-        int64_t policy_id,
-        FindApplicablePolicyId(local_path, /*for_cookie=*/false, t));
-    if (policy_id < 0) {
-      MatchResult miss;
-      miss.behavior = kNoPolicyBehavior;
-      miss.policy_found = false;
-      return miss;
-    }
-    return EvaluateAgainstCurrent(pref, policy_id, t);
-  }();
-  if (cacheable && !cache_hit) StoreMatch(key, catalog_epoch_, result);
-  FinishMatchSpan(match_span, result);
-  if (options_.collect_metrics) {
-    TallyMatch(result, MicrosSince(start), cache_hit);
-  }
-  return result;
+  return MatchPath(pref, local_path, /*for_cookie=*/false, trace);
 }
 
 Result<MatchResult> PolicyServer::MatchCookie(const CompiledPreference& pref,
@@ -936,30 +811,32 @@ Result<MatchResult> PolicyServer::MatchCookie(const CompiledPreference& pref,
 Result<MatchResult> PolicyServer::MatchCookie(const CompiledPreference& pref,
                                               std::string_view cookie_path,
                                               obs::TraceContext* trace) {
+  return MatchPath(pref, cookie_path, /*for_cookie=*/true, trace);
+}
+
+Result<MatchResult> PolicyServer::MatchPath(const CompiledPreference& pref,
+                                            std::string_view path,
+                                            bool for_cookie,
+                                            obs::TraceContext* trace) {
   obs::TraceContext* t = EffectiveTrace(trace);
   obs::ScopedSpan match_span(t, "match");
   if (match_span.active()) {
     match_span.SetAttr("engine", EngineKindName(options_.engine));
-    match_span.SetAttr("cookie", cookie_path);
+    match_span.SetAttr(for_cookie ? "cookie" : "uri", path);
   }
   std::chrono::steady_clock::time_point start{};
   if (options_.collect_metrics) start = std::chrono::steady_clock::now();
 
-  std::shared_lock<std::shared_mutex> shared(mu_, std::defer_lock);
-  std::unique_lock<std::shared_mutex> exclusive(mu_, std::defer_lock);
-  if (UsesLegacyMaterialization()) {
-    exclusive.lock();
-  } else {
-    shared.lock();
-  }
+  std::shared_lock<std::shared_mutex> lock(mu_);
   const bool cacheable = match_cache_ != nullptr && pref.fingerprint != 0;
   bool cache_hit = false;
   MatchCacheKey key;
   Result<MatchResult> result = [&]() -> Result<MatchResult> {
     if (cacheable) {
-      key = MatchCacheKey{pref.fingerprint, MatchSubject::kCookie, -1,
-                          std::string(cookie_path),
-                          static_cast<uint8_t>(options_.engine)};
+      key = MatchCacheKey{
+          pref.fingerprint,
+          for_cookie ? MatchSubject::kCookie : MatchSubject::kUri, -1,
+          std::string(path), static_cast<uint8_t>(options_.engine)};
       if (std::optional<MatchResult> hit =
               CachedMatch(key, catalog_epoch_, match_span)) {
         cache_hit = true;
@@ -970,9 +847,8 @@ Result<MatchResult> PolicyServer::MatchCookie(const CompiledPreference& pref,
         return *hit;
       }
     }
-    P3PDB_ASSIGN_OR_RETURN(
-        int64_t policy_id,
-        FindApplicablePolicyId(cookie_path, /*for_cookie=*/true, t));
+    P3PDB_ASSIGN_OR_RETURN(int64_t policy_id,
+                           FindApplicablePolicyId(path, for_cookie, t));
     if (policy_id < 0) {
       MatchResult miss;
       miss.behavior = kNoPolicyBehavior;
@@ -1005,13 +881,7 @@ Result<MatchResult> PolicyServer::MatchPolicyId(const CompiledPreference& pref,
   std::chrono::steady_clock::time_point start{};
   if (options_.collect_metrics) start = std::chrono::steady_clock::now();
 
-  std::shared_lock<std::shared_mutex> shared(mu_, std::defer_lock);
-  std::unique_lock<std::shared_mutex> exclusive(mu_, std::defer_lock);
-  if (UsesLegacyMaterialization()) {
-    exclusive.lock();
-  } else {
-    shared.lock();
-  }
+  std::shared_lock<std::shared_mutex> lock(mu_);
   const bool cacheable = match_cache_ != nullptr && pref.fingerprint != 0;
   bool cache_hit = false;
   MatchCacheKey key;

@@ -3,8 +3,12 @@
 // governing a requested URI.
 //
 // The paper materializes its result as the one-row temporary table
-// "ApplicablePolicy" that the generated rule queries select FROM; the
-// server module does the same (translator/…; server/policy_server.cc).
+// "ApplicablePolicy" that the generated rule queries select FROM (the
+// Figure 13 preamble). The server instead runs this query, then binds the
+// resulting id into every rule query as a `?` parameter; ApplicablePolicy
+// stays a static one-row FROM anchor, installed at bootstrap and never
+// written by a match (server/policy_server.cc). Only the literal
+// Figure 11/15 translations, pinned by the paper goldens, still join it.
 
 #ifndef P3PDB_TRANSLATOR_APPLICABLE_POLICY_H_
 #define P3PDB_TRANSLATOR_APPLICABLE_POLICY_H_
@@ -14,7 +18,7 @@
 
 namespace p3pdb::translator {
 
-/// Name of the materialized one-row table the rule queries reference.
+/// Name of the one-row table the rule queries select FROM.
 inline constexpr const char* kApplicablePolicyTable = "ApplicablePolicy";
 
 /// Builds the SQL locating the applicable policy for `local_path` per spec
@@ -23,7 +27,7 @@ inline constexpr const char* kApplicablePolicyTable = "ApplicablePolicy";
 std::string ApplicablePolicyQuery(std::string_view local_path,
                                   bool for_cookie = false);
 
-/// DDL for the materialized table.
+/// DDL for the one-row table.
 std::string ApplicablePolicyDdl();
 
 }  // namespace p3pdb::translator

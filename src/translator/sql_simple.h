@@ -30,8 +30,8 @@ struct SqlRuleset {
   std::vector<std::string> rule_queries;   // aligned with behaviors
   std::vector<std::string> behaviors;
   /// `?` placeholders per rule query (all bound to the applicable
-  /// policy_id). All zeros when translated in the legacy materialized
-  /// mode.
+  /// policy_id). All zeros for the literal (parameterized=false) text,
+  /// which joins the ApplicablePolicy row instead.
   std::vector<size_t> param_counts;
 };
 

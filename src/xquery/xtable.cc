@@ -4,6 +4,7 @@
 #include "p3p/data_schema.h"
 #include "shredder/element_spec.h"
 #include "translator/applicable_policy.h"
+#include "xquery/parser.h"
 
 namespace p3pdb::xquery {
 
@@ -82,10 +83,10 @@ Result<std::string> CondToSql(const Cond& cond, const ElementSpec& spec,
 
 /// A condition evaluated with the *document node* as context (the
 /// predicates on document("applicable-policy")): POLICY path tests become
-/// EXISTS over the Policy table; or/and/not recurse (rule-level
-/// connectives land here); attribute tests on the document node are
-/// vacuously false.
-Result<std::string> DocCondToSql(const Cond& cond) {
+/// EXISTS over the Policy row bound by one `?` (counted into `params`);
+/// or/and/not recurse (rule-level connectives land here); attribute tests
+/// on the document node are vacuously false.
+Result<std::string> DocCondToSql(const Cond& cond, size_t* params) {
   switch (cond.kind) {
     case CondKind::kPathExists: {
       if (cond.step->name != "POLICY") {
@@ -95,9 +96,8 @@ Result<std::string> DocCondToSql(const Cond& cond) {
       }
       const ElementSpec& policy_spec = shredder::PolicyElementSpec();
       std::vector<std::string> own_pk = {"policy_id"};
-      std::string sub =
-          std::string("SELECT * FROM Policy WHERE Policy.policy_id = ") +
-          translator::kApplicablePolicyTable + ".policy_id";
+      ++*params;
+      std::string sub = "SELECT * FROM Policy WHERE Policy.policy_id = ?";
       for (const Cond& pred : cond.step->predicates) {
         P3PDB_ASSIGN_OR_RETURN(std::string cond_sql,
                                CondToSql(pred, policy_spec, own_pk));
@@ -111,14 +111,14 @@ Result<std::string> DocCondToSql(const Cond& cond) {
       for (size_t i = 0; i < cond.children.size(); ++i) {
         if (i > 0) out += cond.kind == CondKind::kOr ? " OR " : " AND ";
         P3PDB_ASSIGN_OR_RETURN(std::string sub,
-                               DocCondToSql(cond.children[i]));
+                               DocCondToSql(cond.children[i], params));
         out += "(" + sub + ")";
       }
       return out;
     }
     case CondKind::kNot: {
       P3PDB_ASSIGN_OR_RETURN(std::string sub,
-                             DocCondToSql(cond.children[0]));
+                             DocCondToSql(cond.children[0], params));
       return "NOT (" + sub + ")";
     }
     case CondKind::kAttrEquals:
@@ -130,18 +130,35 @@ Result<std::string> DocCondToSql(const Cond& cond) {
 }  // namespace
 
 Result<std::string> XTableTranslator::TranslateQuery(
-    const Query& query) const {
+    const Query& query, size_t* param_count) const {
   std::string sql = "SELECT " + SqlQuote(query.behavior) + " FROM " +
                     translator::kApplicablePolicyTable;
-  if (query.conditions.empty()) return sql;
-
-  std::vector<std::string> terms;
-  for (const Cond& cond : query.conditions) {
-    P3PDB_ASSIGN_OR_RETURN(std::string term, DocCondToSql(cond));
-    terms.push_back("(" + term + ")");
+  size_t params = 0;
+  if (!query.conditions.empty()) {
+    std::vector<std::string> terms;
+    for (const Cond& cond : query.conditions) {
+      P3PDB_ASSIGN_OR_RETURN(std::string term, DocCondToSql(cond, &params));
+      terms.push_back("(" + term + ")");
+    }
+    sql += " WHERE " + Join(terms, " AND ");
   }
-  sql += " WHERE " + Join(terms, " AND ");
+  if (param_count != nullptr) *param_count = params;
   return sql;
+}
+
+Result<translator::SqlRuleset> XTableTranslator::TranslateRuleset(
+    const XQueryRuleset& rs) const {
+  translator::SqlRuleset out;
+  for (size_t i = 0; i < rs.rule_queries.size(); ++i) {
+    P3PDB_ASSIGN_OR_RETURN(Query query, ParseQuery(rs.rule_queries[i]));
+    size_t param_count = 0;
+    P3PDB_ASSIGN_OR_RETURN(std::string sql,
+                           TranslateQuery(query, &param_count));
+    out.rule_queries.push_back(std::move(sql));
+    out.behaviors.push_back(rs.behaviors[i]);
+    out.param_counts.push_back(param_count);
+  }
+  return out;
 }
 
 }  // namespace p3pdb::xquery

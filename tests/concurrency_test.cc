@@ -5,6 +5,7 @@
 
 #include <atomic>
 #include <thread>
+#include <tuple>
 
 #include "server/policy_server.h"
 #include "workload/corpus.h"
@@ -18,8 +19,17 @@ using workload::JanePreference;
 using workload::JrcPreference;
 using workload::PreferenceLevel;
 
-TEST(ConcurrencyTest, ParallelMatchesAreConsistent) {
-  auto server = PolicyServer::Create({.engine = EngineKind::kSql});
+// Runs for both SQL match paths (XTABLE shares kSql's read-only loop), with
+// the match cache off so the rule queries themselves execute concurrently,
+// and on so concurrent cache hits are covered too.
+class ParallelMatchTest
+    : public ::testing::TestWithParam<std::tuple<EngineKind, bool>> {};
+
+TEST_P(ParallelMatchTest, ParallelMatchesAreConsistent) {
+  PolicyServer::Options options;
+  options.engine = std::get<0>(GetParam());
+  options.enable_match_cache = std::get<1>(GetParam());
+  auto server = PolicyServer::Create(options);
   ASSERT_TRUE(server.ok());
   std::vector<p3p::Policy> corpus = workload::FortuneCorpus();
   std::vector<int64_t> ids;
@@ -59,6 +69,12 @@ TEST(ConcurrencyTest, ParallelMatchesAreConsistent) {
   EXPECT_EQ(errors.load(), 0);
   EXPECT_EQ(mismatches.load(), 0);
 }
+
+INSTANTIATE_TEST_SUITE_P(
+    Engines, ParallelMatchTest,
+    ::testing::Combine(::testing::Values(EngineKind::kSql,
+                                         EngineKind::kXQueryXTable),
+                       ::testing::Bool()));
 
 TEST(ConcurrencyTest, InstallsRaceWithMatches) {
   auto server = PolicyServer::Create({.engine = EngineKind::kSql});

@@ -1,11 +1,11 @@
 // Cross-engine differential harness.
 //
 // Draws seeded random (policy, preference) pairs — corpus policies crossed
-// with preferences from the full pattern grammar — and checks that every
-// read-only engine, plus the memoized (cached) match path exercised both
-// cold and warm, reports byte-identical behavior and fired rule. One
-// disagreement fails the suite loudly: the harness greedily minimizes the
-// pair (dropping preference rules, then policy statements, while the
+// with preferences from the full pattern grammar — and checks that all five
+// engines, plus the memoized (cached) match path exercised both cold and
+// warm, report byte-identical behavior and fired rule. One disagreement
+// fails the suite loudly: the harness greedily minimizes the pair
+// (dropping preference rules, then policy statements, while the
 // disagreement persists) and prints the minimized preference and policy
 // XML, and writes the same repro to differential_failure.txt so CI can
 // upload it as an artifact.
@@ -50,8 +50,8 @@ constexpr const char* kFailureArtifact = "differential_failure.txt";
 /// engines diverged.
 constexpr const char* kStatementsArtifact = "differential_statements.txt";
 
-// The engines under differential test. kXQueryXTable is exercised by
-// property_test; here the focus is the read-only matrix plus the cache.
+// The engines under differential test: the five-engine matrix plus cached
+// and disk-backed variants of the SQL match path.
 struct EngineConfig {
   const char* label;
   EngineKind kind;
@@ -64,7 +64,9 @@ constexpr EngineConfig kConfigs[] = {
     {"sql", EngineKind::kSql, false, false},
     {"sql-simple", EngineKind::kSqlSimple, false, false},
     {"xquery-native", EngineKind::kXQueryNative, false, false},
+    {"xquery-xtable", EngineKind::kXQueryXTable, false, false},
     {"sql+cache", EngineKind::kSql, true, false},
+    {"xtable+cache", EngineKind::kXQueryXTable, true, false},
     {"sql+disk", EngineKind::kSql, false, true},
 };
 

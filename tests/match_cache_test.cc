@@ -323,26 +323,47 @@ TEST(MatchCacheServerTest, PolicyIdEntriesSurviveUnrelatedInstalls) {
   EXPECT_EQ(after.invalidations, before.invalidations);
 }
 
-TEST(MatchCacheServerTest, DisabledOptionAndLegacyModeBypassTheCache) {
+TEST(MatchCacheServerTest, DisabledOptionBypassesTheCache) {
   PolicyServer::Options off;
   off.engine = EngineKind::kSql;
   off.enable_match_cache = false;
   auto disabled = PolicyServer::Create(off);
   ASSERT_TRUE(disabled.ok());
   EXPECT_EQ(disabled.value()->match_cache(), nullptr);
+}
 
-  PolicyServer::Options legacy;
-  legacy.engine = EngineKind::kSql;
-  legacy.materialize_applicable_policy = true;  // exclusive-lock match path
-  auto materialized = PolicyServer::Create(legacy);
-  ASSERT_TRUE(materialized.ok());
-  EXPECT_EQ(materialized.value()->match_cache(), nullptr);
+TEST(MatchCacheServerTest, XTableServerCachesLikeEveryEngine) {
+  // XTABLE binds the policy id like the other SQL engines, so its matches
+  // are read-only and memoized: a repeated MatchPolicyId is a cache hit
+  // that executes no statement at all.
+  auto server = MakeCachedServer(EngineKind::kXQueryXTable);
+  ASSERT_TRUE(server.ok()) << server.status();
+  ASSERT_NE(server.value()->match_cache(), nullptr);
+  auto id = server.value()->InstallPolicy(workload::VolgaPolicy());
+  ASSERT_TRUE(id.ok());
+  auto pref = server.value()->CompilePreference(workload::JanePreference());
+  ASSERT_TRUE(pref.ok()) << pref.status();
 
-  PolicyServer::Options xtable;
-  xtable.engine = EngineKind::kXQueryXTable;  // always materializes
-  auto xtable_server = PolicyServer::Create(xtable);
-  ASSERT_TRUE(xtable_server.ok());
-  EXPECT_EQ(xtable_server.value()->match_cache(), nullptr);
+  auto statement_calls = [&] {
+    uint64_t calls = 0;
+    for (const auto& s : server.value()->statement_stats().Snapshot()) {
+      calls += s.calls;
+    }
+    return calls;
+  };
+  auto r1 = server.value()->MatchPolicyId(pref.value(), id.value());
+  ASSERT_TRUE(r1.ok()) << r1.status();
+  const uint64_t calls_after_miss = statement_calls();
+  EXPECT_GT(calls_after_miss, 0u);
+  MatchCache::Stats before = CacheStats(server.value().get());
+
+  auto r2 = server.value()->MatchPolicyId(pref.value(), id.value());
+  ASSERT_TRUE(r2.ok()) << r2.status();
+  EXPECT_EQ(r2.value().behavior, r1.value().behavior);
+  EXPECT_EQ(r2.value().fired_rule_index, r1.value().fired_rule_index);
+  MatchCache::Stats after = CacheStats(server.value().get());
+  EXPECT_EQ(after.hits, before.hits + 1);
+  EXPECT_EQ(statement_calls(), calls_after_miss);
 }
 
 TEST(MatchCacheServerTest, HandAssembledPreferenceBypassesCacheSafely) {

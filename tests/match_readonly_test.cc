@@ -1,7 +1,8 @@
-// The parameterized match path: the generated rule queries take the
-// applicable policy id as a bind parameter, so (a) their results are
-// identical to the legacy materialized-ApplicablePolicy queries, and
-// (b) a match with record_matches off mutates no table at all.
+// The read-only match path: the generated rule queries take the applicable
+// policy id as a bind parameter, so (a) their results are identical to the
+// paper's literal queries that join a materialized ApplicablePolicy row,
+// and (b) a match with record_matches off mutates no table at all — on
+// every SQL engine, XTABLE included.
 
 #include <gtest/gtest.h>
 
@@ -20,12 +21,14 @@ using sqldb::Value;
 using workload::JrcPreference;
 using workload::PreferenceLevel;
 
+constexpr EngineKind kSqlEngines[] = {EngineKind::kSql, EngineKind::kSqlSimple,
+                                      EngineKind::kXQueryXTable};
+
 Result<std::unique_ptr<PolicyServer>> CorpusServer(
-    EngineKind engine, bool materialize,
-    const std::vector<p3p::Policy>& corpus, std::vector<int64_t>* ids) {
+    EngineKind engine, const std::vector<p3p::Policy>& corpus,
+    std::vector<int64_t>* ids) {
   PolicyServer::Options options;
   options.engine = engine;
-  options.materialize_applicable_policy = materialize;
   P3PDB_ASSIGN_OR_RETURN(std::unique_ptr<PolicyServer> server,
                          PolicyServer::Create(options));
   for (const p3p::Policy& policy : corpus) {
@@ -37,50 +40,70 @@ Result<std::unique_ptr<PolicyServer>> CorpusServer(
   return server;
 }
 
-// The tentpole's correctness anchor: for every engine, preference level,
-// and policy, the parameterized (read-only) match and the legacy
-// materialized match agree on behavior and fired rule.
-TEST(MatchReadonlyTest, ParameterizedMatchesEqualLegacyMaterialized) {
+/// Rewrites the one-row ApplicablePolicy table to `policy_id`: the state
+/// the paper's Figure 13 preamble sets up before running the literal rule
+/// queries. The server never does this itself.
+Status WriteApplicablePolicyRow(sqldb::Database* db, int64_t policy_id) {
+  auto cleared = db->Execute("DELETE FROM ApplicablePolicy");
+  if (!cleared.ok()) return cleared.status();
+  return db->InsertRow("ApplicablePolicy", {Value::Integer(policy_id)});
+}
+
+Result<translator::SqlRuleset> LiteralRuleset(EngineKind engine,
+                                              const appel::AppelRuleset& rs) {
+  if (engine == EngineKind::kSqlSimple) {
+    return translator::SimpleSqlTranslator().TranslateRuleset(rs);
+  }
+  return translator::OptimizedSqlTranslator().TranslateRuleset(rs);
+}
+
+// The correctness anchor of the bind-parameter path: for every preference
+// level and policy, the server's match agrees on behavior and fired rule
+// with the paper's literal translation run against a materialized row.
+TEST(MatchReadonlyTest, ServerMatchesEqualLiteralTranslation) {
   std::vector<p3p::Policy> corpus = workload::FortuneCorpus();
   for (EngineKind engine : {EngineKind::kSql, EngineKind::kSqlSimple}) {
-    std::vector<int64_t> param_ids, legacy_ids;
-    auto param_server =
-        CorpusServer(engine, /*materialize=*/false, corpus, &param_ids);
-    ASSERT_TRUE(param_server.ok()) << param_server.status();
-    auto legacy_server =
-        CorpusServer(engine, /*materialize=*/true, corpus, &legacy_ids);
-    ASSERT_TRUE(legacy_server.ok()) << legacy_server.status();
-    ASSERT_EQ(param_ids, legacy_ids);
+    std::vector<int64_t> ids;
+    auto server = CorpusServer(engine, corpus, &ids);
+    ASSERT_TRUE(server.ok()) << server.status();
+    sqldb::Database* db = server.value()->database();
 
     for (PreferenceLevel level : workload::AllPreferenceLevels()) {
-      auto param_pref =
-          param_server.value()->CompilePreference(JrcPreference(level));
-      ASSERT_TRUE(param_pref.ok()) << param_pref.status();
-      auto legacy_pref =
-          legacy_server.value()->CompilePreference(JrcPreference(level));
-      ASSERT_TRUE(legacy_pref.ok()) << legacy_pref.status();
-      for (size_t i = 0; i < param_ids.size(); ++i) {
-        auto p = param_server.value()->MatchPolicyId(param_pref.value(),
-                                                     param_ids[i]);
-        ASSERT_TRUE(p.ok()) << p.status();
-        auto l = legacy_server.value()->MatchPolicyId(legacy_pref.value(),
-                                                      legacy_ids[i]);
-        ASSERT_TRUE(l.ok()) << l.status();
-        EXPECT_EQ(p.value().behavior, l.value().behavior);
-        EXPECT_EQ(p.value().fired_rule_index, l.value().fired_rule_index);
+      auto pref = server.value()->CompilePreference(JrcPreference(level));
+      ASSERT_TRUE(pref.ok()) << pref.status();
+      auto literal = LiteralRuleset(engine, JrcPreference(level));
+      ASSERT_TRUE(literal.ok()) << literal.status();
+      for (int64_t id : ids) {
+        auto match = server.value()->MatchPolicyId(pref.value(), id);
+        ASSERT_TRUE(match.ok()) << match.status();
+
+        ASSERT_TRUE(WriteApplicablePolicyRow(db, id).ok());
+        std::string behavior = appel::kDefaultBehavior;
+        int fired = -1;
+        for (size_t i = 0; i < literal.value().rule_queries.size(); ++i) {
+          auto rows = db->Execute(literal.value().rule_queries[i]);
+          ASSERT_TRUE(rows.ok()) << rows.status();
+          if (!rows.value().rows.empty()) {
+            behavior = rows.value().rows[0][0].AsText();
+            fired = static_cast<int>(i);
+            break;
+          }
+        }
+        EXPECT_EQ(match.value().behavior, behavior);
+        EXPECT_EQ(match.value().fired_rule_index, fired);
       }
     }
   }
 }
 
-// PreparedStatement::Execute with params returns exactly the rows of the
-// literal (legacy) translation, for both the Figure 11 and the Figure 15
-// translators, against the same materialized database state.
+// A bound parameterized query returns exactly the rows of the literal
+// translation, for both the Figure 11 and the Figure 15 translators,
+// against the same materialized database state.
 TEST(MatchReadonlyTest, PreparedWithParamsMatchesLiteralQueryRows) {
   std::vector<p3p::Policy> corpus = workload::FortuneCorpus();
   for (EngineKind engine : {EngineKind::kSqlSimple, EngineKind::kSql}) {
     std::vector<int64_t> ids;
-    auto server = CorpusServer(engine, /*materialize=*/true, corpus, &ids);
+    auto server = CorpusServer(engine, corpus, &ids);
     ASSERT_TRUE(server.ok()) << server.status();
     const appel::AppelRule rule = workload::JaneSimplifiedFirstRule();
 
@@ -103,19 +126,15 @@ TEST(MatchReadonlyTest, PreparedWithParamsMatchesLiteralQueryRows) {
       param_sql = par.value();
     }
 
-    auto pref = server.value()->CompilePreference(
-        JrcPreference(PreferenceLevel::kHigh));
-    ASSERT_TRUE(pref.ok());
-    auto prepared = server.value()->database()->Prepare(param_sql);
+    sqldb::Database* db = server.value()->database();
+    auto prepared = db->Prepare(param_sql);
     ASSERT_TRUE(prepared.ok()) << prepared.status();
     ASSERT_EQ(prepared.value().param_count(), 1u);
 
     int fired = 0;
     for (int64_t id : ids) {
-      // A legacy-mode match leaves ApplicablePolicy materialized to `id`,
-      // the state the literal query reads.
-      ASSERT_TRUE(server.value()->MatchPolicyId(pref.value(), id).ok());
-      auto literal = server.value()->database()->Execute(literal_sql);
+      ASSERT_TRUE(WriteApplicablePolicyRow(db, id).ok());
+      auto literal = db->Execute(literal_sql);
       ASSERT_TRUE(literal.ok()) << literal.status();
       auto bound = prepared.value().Execute({Value::Integer(id)});
       ASSERT_TRUE(bound.ok()) << bound.status();
@@ -133,16 +152,18 @@ TEST(MatchReadonlyTest, PreparedWithParamsMatchesLiteralQueryRows) {
 }
 
 // Acceptance criterion of the read-only path: with record_matches off, a
-// match changes no table — neither live row counts nor tombstones.
+// match changes no table — neither live row counts nor tombstones — and
+// ApplicablePolicy holds exactly the anchor row installed at bootstrap.
 TEST(MatchReadonlyTest, MatchMutatesNoTableWhenNotRecording) {
   std::vector<p3p::Policy> corpus = workload::FortuneCorpus();
-  for (EngineKind engine : {EngineKind::kSql, EngineKind::kSqlSimple}) {
+  for (EngineKind engine : kSqlEngines) {
+    SCOPED_TRACE(EngineKindName(engine));
     std::vector<int64_t> ids;
-    auto server = CorpusServer(engine, /*materialize=*/false, corpus, &ids);
+    auto server = CorpusServer(engine, corpus, &ids);
     ASSERT_TRUE(server.ok()) << server.status();
     auto pref = server.value()->CompilePreference(
         JrcPreference(PreferenceLevel::kHigh));
-    ASSERT_TRUE(pref.ok());
+    ASSERT_TRUE(pref.ok()) << pref.status();
 
     sqldb::Database* db = server.value()->database();
     auto table_state = [db] {
@@ -166,28 +187,17 @@ TEST(MatchReadonlyTest, MatchMutatesNoTableWhenNotRecording) {
       ASSERT_TRUE(server.value()
                       ->MatchUri(pref.value(), "/" + policy.name + "/x")
                       .ok());
+      ASSERT_TRUE(server.value()
+                      ->MatchCookie(pref.value(), "/" + policy.name + "/x")
+                      .ok());
     }
     EXPECT_EQ(table_state(), before);
-  }
-}
 
-// The legacy compatibility flag keeps the old behavior observable: the
-// materialized mode rewrites the ApplicablePolicy row per match.
-TEST(MatchReadonlyTest, LegacyModeStillMaterializes) {
-  std::vector<p3p::Policy> corpus = workload::FortuneCorpus();
-  std::vector<int64_t> ids;
-  auto server =
-      CorpusServer(EngineKind::kSql, /*materialize=*/true, corpus, &ids);
-  ASSERT_TRUE(server.ok()) << server.status();
-  auto pref = server.value()->CompilePreference(
-      JrcPreference(PreferenceLevel::kLow));
-  ASSERT_TRUE(pref.ok());
-  ASSERT_TRUE(server.value()->MatchPolicyId(pref.value(), ids[2]).ok());
-  auto row = server.value()->database()->Execute(
-      "SELECT policy_id FROM ApplicablePolicy");
-  ASSERT_TRUE(row.ok());
-  ASSERT_EQ(row.value().rows.size(), 1u);
-  EXPECT_EQ(row.value().rows[0][0].AsInteger(), ids[2]);
+    auto anchor = db->Execute("SELECT policy_id FROM ApplicablePolicy");
+    ASSERT_TRUE(anchor.ok()) << anchor.status();
+    ASSERT_EQ(anchor.value().rows.size(), 1u);
+    EXPECT_EQ(anchor.value().rows[0][0].AsInteger(), 0);
+  }
 }
 
 }  // namespace

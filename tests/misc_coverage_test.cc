@@ -110,47 +110,6 @@ TEST(AppelRoundTripTest, EveryConnectiveSurvivesSerialization) {
   }
 }
 
-TEST(PreparedServerTest, SameOutcomesAsTextSubmission) {
-  server::PolicyServer::Options text_options;
-  text_options.engine = server::EngineKind::kSql;
-  server::PolicyServer::Options prepared_options = text_options;
-  prepared_options.use_prepared_statements = true;
-
-  auto text_server = server::PolicyServer::Create(text_options);
-  auto prepared_server = server::PolicyServer::Create(prepared_options);
-  ASSERT_TRUE(text_server.ok());
-  ASSERT_TRUE(prepared_server.ok());
-
-  std::vector<p3p::Policy> corpus = workload::FortuneCorpus();
-  std::vector<int64_t> text_ids, prepared_ids;
-  for (const p3p::Policy& policy : corpus) {
-    auto a = text_server.value()->InstallPolicy(policy);
-    auto b = prepared_server.value()->InstallPolicy(policy);
-    ASSERT_TRUE(a.ok());
-    ASSERT_TRUE(b.ok());
-    text_ids.push_back(a.value());
-    prepared_ids.push_back(b.value());
-  }
-  for (auto level : workload::AllPreferenceLevels()) {
-    auto a = text_server.value()->CompilePreference(
-        workload::JrcPreference(level));
-    auto b = prepared_server.value()->CompilePreference(
-        workload::JrcPreference(level));
-    ASSERT_TRUE(a.ok());
-    ASSERT_TRUE(b.ok()) << b.status();
-    EXPECT_FALSE(b.value().prepared_sql.empty());
-    for (size_t p = 0; p < corpus.size(); ++p) {
-      auto ra = text_server.value()->MatchPolicyId(a.value(), text_ids[p]);
-      auto rb =
-          prepared_server.value()->MatchPolicyId(b.value(), prepared_ids[p]);
-      ASSERT_TRUE(ra.ok());
-      ASSERT_TRUE(rb.ok());
-      EXPECT_EQ(ra.value().behavior, rb.value().behavior) << corpus[p].name;
-      EXPECT_EQ(ra.value().fired_rule_index, rb.value().fired_rule_index);
-    }
-  }
-}
-
 TEST(OtherwiseTest, NestedInsideFinalRuleAsInFigure2) {
   // The paper's Figure 2 shows <appel:OTHERWISE/> nested inside the final
   // request rule; the marker is consumed and the rule becomes a catch-all.

@@ -19,13 +19,11 @@ using obs::TraceContext;
 using obs::TraceSpan;
 
 Result<std::unique_ptr<PolicyServer>> MakeSqlServer(
-    bool tracing, bool record_matches = false,
-    bool use_prepared_statements = false) {
+    bool tracing, bool record_matches = false) {
   PolicyServer::Options options;
   options.engine = EngineKind::kSql;
   options.enable_tracing = tracing;
   options.record_matches = record_matches;
-  options.use_prepared_statements = use_prepared_statements;
   P3PDB_ASSIGN_OR_RETURN(std::unique_ptr<PolicyServer> server,
                          PolicyServer::Create(options));
   P3PDB_RETURN_IF_ERROR(
@@ -128,9 +126,8 @@ TEST(ObservabilityTest, SqlMatchTraceShape) {
   EXPECT_NE(text.find("engine=sql"), std::string::npos) << text;
 }
 
-TEST(ObservabilityTest, TracedCompileHasTranslateAndPrepareSpans) {
-  auto server = MakeSqlServer(/*tracing=*/true, /*record_matches=*/false,
-                              /*use_prepared_statements=*/true);
+TEST(ObservabilityTest, TracedCompileHasTranslateSpans) {
+  auto server = MakeSqlServer(/*tracing=*/true);
   ASSERT_TRUE(server.ok());
   TraceContext trace;
   auto pref = server.value()->CompilePreference(workload::JanePreference(),
@@ -140,7 +137,7 @@ TEST(ObservabilityTest, TracedCompileHasTranslateAndPrepareSpans) {
   ASSERT_NE(root, nullptr);
   EXPECT_EQ(root->name, "compile-preference");
   EXPECT_NE(root->FindChild("translate"), nullptr) << trace.RenderText();
-  EXPECT_NE(root->FindChild("prepare"), nullptr) << trace.RenderText();
+  EXPECT_NE(trace.FindSpan("translate-rule"), nullptr) << trace.RenderText();
 }
 
 TEST(ObservabilityTest, DisabledTracingLeavesContextUntouched) {

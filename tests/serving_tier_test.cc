@@ -38,11 +38,76 @@ ShardedPolicyServer::Options TierOptions(size_t shards) {
   return o;
 }
 
-TEST(ServingTierTest, RejectsZeroShardsAndXTable) {
+TEST(ServingTierTest, RejectsZeroShards) {
   EXPECT_FALSE(ShardedPolicyServer::Create(TierOptions(0)).ok());
+}
+
+// XTABLE binds the policy id like the other SQL engines, so it serves from
+// the tier too: a 2-shard XTABLE tier answers every corpus policy, by
+// global id and by URI, exactly as one XTABLE PolicyServer does.
+TEST(ServingTierTest, XTableTierAgreesWithSingleXTableServer) {
+  const std::vector<p3p::Policy> corpus = workload::FortuneCorpus();
+  const p3p::ReferenceFile rf = workload::CorpusReferenceFile(corpus);
+
+  PolicyServer::Options single_options;
+  single_options.engine = EngineKind::kXQueryXTable;
+  auto single = PolicyServer::Create(single_options);
+  ASSERT_TRUE(single.ok()) << single.status();
+  std::vector<int64_t> single_ids;
+  for (const p3p::Policy& policy : corpus) {
+    auto id = single.value()->InstallPolicy(policy);
+    ASSERT_TRUE(id.ok()) << id.status();
+    single_ids.push_back(id.value());
+  }
+  ASSERT_TRUE(single.value()->InstallReferenceFile(rf).ok());
+
   ShardedPolicyServer::Options o = TierOptions(2);
   o.engine = EngineKind::kXQueryXTable;
-  EXPECT_FALSE(ShardedPolicyServer::Create(o).ok());
+  auto tier = ShardedPolicyServer::Create(o);
+  ASSERT_TRUE(tier.ok()) << tier.status();
+  std::vector<int64_t> global_ids;
+  for (const p3p::Policy& policy : corpus) {
+    auto id = tier.value()->InstallPolicy(policy);
+    ASSERT_TRUE(id.ok()) << id.status();
+    global_ids.push_back(id.value());
+  }
+  ASSERT_TRUE(tier.value()->InstallReferenceFile(rf).ok());
+
+  size_t compared = 0;
+  for (PreferenceLevel level : workload::AllPreferenceLevels()) {
+    auto single_pref = single.value()->CompilePreference(JrcPreference(level));
+    ASSERT_TRUE(single_pref.ok()) << single_pref.status();
+    auto tier_pref = tier.value()->CompilePreference(JrcPreference(level));
+    ASSERT_TRUE(tier_pref.ok()) << tier_pref.status();
+    for (size_t i = 0; i < corpus.size(); ++i) {
+      auto expected = single.value()->MatchPolicyId(single_pref.value(),
+                                                    single_ids[i]);
+      ASSERT_TRUE(expected.ok()) << expected.status();
+      auto by_id =
+          tier.value()->MatchPolicyId(tier_pref.value(), global_ids[i]);
+      ASSERT_TRUE(by_id.ok()) << by_id.status();
+      EXPECT_EQ(by_id.value().behavior, expected.value().behavior)
+          << corpus[i].name;
+      EXPECT_EQ(by_id.value().fired_rule_index,
+                expected.value().fired_rule_index)
+          << corpus[i].name;
+
+      const std::string path = "/" + corpus[i].name + "/index.html";
+      auto expected_uri = single.value()->MatchUri(single_pref.value(), path);
+      ASSERT_TRUE(expected_uri.ok()) << expected_uri.status();
+      auto by_uri = tier.value()->MatchUri(tier_pref.value(), path);
+      ASSERT_TRUE(by_uri.ok()) << by_uri.status();
+      EXPECT_TRUE(by_uri.value().policy_found) << path;
+      EXPECT_EQ(by_uri.value().policy_id, global_ids[i]) << path;
+      EXPECT_EQ(by_uri.value().behavior, expected_uri.value().behavior)
+          << path;
+      EXPECT_EQ(by_uri.value().fired_rule_index,
+                expected_uri.value().fired_rule_index)
+          << path;
+      ++compared;
+    }
+  }
+  EXPECT_EQ(compared, workload::AllPreferenceLevels().size() * corpus.size());
 }
 
 // Every corpus policy, matched by its global id on the tier, must yield

@@ -167,20 +167,21 @@ TEST(EvalCondTest, AttributeDefaults) {
 
 class XTableTest : public ::testing::Test {
  protected:
+  // Shreds the policy next to the one-row ApplicablePolicy anchor (the
+  // server's bootstrap state; the anchor's value is never read).
   void Install(const p3p::Policy& policy) {
     ASSERT_TRUE(shredder::InstallSimpleSchema(&db_).ok());
     ASSERT_TRUE(
         db_.ExecuteScript(translator::ApplicablePolicyDdl()).ok());
+    ASSERT_TRUE(
+        db_.InsertRow("ApplicablePolicy", {sqldb::Value::Integer(0)}).ok());
     shredder::SimpleShredder shredder(&db_);
     p3p::Policy prepared = p3p::Canonicalized(policy);
     p3p::AugmentPolicy(&prepared);
     std::unique_ptr<xml::Element> dom = p3p::PolicyToXml(prepared);
     auto id = shredder.ShredPolicy(*dom);
     ASSERT_TRUE(id.ok());
-    ASSERT_TRUE(db_
-                    .InsertRow("ApplicablePolicy",
-                               {sqldb::Value::Integer(id.value())})
-                    .ok());
+    policy_id_ = id.value();
   }
 
   Result<std::string> Translate(const appel::AppelRule& rule) {
@@ -188,10 +189,19 @@ class XTableTest : public ::testing::Test {
     P3PDB_ASSIGN_OR_RETURN(std::string text, to_xq.TranslateRule(rule));
     P3PDB_ASSIGN_OR_RETURN(Query query, ParseQuery(text));
     XTableTranslator to_sql;
-    return to_sql.TranslateQuery(query);
+    return to_sql.TranslateQuery(query, &param_count_);
+  }
+
+  // Runs a translated rule with every `?` bound to the installed policy.
+  Result<sqldb::QueryResult> Execute(const std::string& sql) {
+    return db_.Execute(
+        sql, std::vector<sqldb::Value>(param_count_,
+                                       sqldb::Value::Integer(policy_id_)));
   }
 
   sqldb::Database db_;
+  int64_t policy_id_ = -1;
+  size_t param_count_ = 0;
 };
 
 TEST_F(XTableTest, GeneratesUnmergedSimpleSchemaSql) {
@@ -201,13 +211,26 @@ TEST_F(XTableTest, GeneratesUnmergedSimpleSchemaSql) {
   EXPECT_NE(sql.value().find("FROM Admin"), std::string::npos);
   EXPECT_NE(sql.value().find("FROM Contact"), std::string::npos);
   EXPECT_EQ(sql.value().find("Purpose.purpose ="), std::string::npos);
+  // The policy id is a bind parameter, not a join to a materialized row.
+  EXPECT_NE(sql.value().find("Policy.policy_id = ?"), std::string::npos);
+  EXPECT_EQ(sql.value().find("ApplicablePolicy.policy_id"), std::string::npos);
+  EXPECT_EQ(param_count_, 1u);
+}
+
+TEST_F(XTableTest, CatchAllTakesNoParameters) {
+  appel::AppelRule catch_all;
+  catch_all.behavior = "request";
+  auto sql = Translate(catch_all);
+  ASSERT_TRUE(sql.ok()) << sql.status();
+  EXPECT_EQ(sql.value(), "SELECT 'request' FROM ApplicablePolicy");
+  EXPECT_EQ(param_count_, 0u);
 }
 
 TEST_F(XTableTest, DoesNotFireOnVolga) {
   Install(VolgaPolicy());
   auto sql = Translate(JaneSimplifiedFirstRule());
   ASSERT_TRUE(sql.ok()) << sql.status();
-  auto result = db_.Execute(sql.value());
+  auto result = Execute(sql.value());
   ASSERT_TRUE(result.ok()) << result.status();
   EXPECT_TRUE(result.value().rows.empty());
 }
@@ -218,7 +241,7 @@ TEST_F(XTableTest, FiresOnMandatoryContact) {
   Install(policy);
   auto sql = Translate(JaneSimplifiedFirstRule());
   ASSERT_TRUE(sql.ok());
-  auto result = db_.Execute(sql.value());
+  auto result = Execute(sql.value());
   ASSERT_TRUE(result.ok()) << result.status();
   ASSERT_EQ(result.value().rows.size(), 1u);
   EXPECT_EQ(result.value().rows[0][0].AsText(), "block");
