@@ -77,12 +77,11 @@ std::string HttpGet(uint16_t port, const std::string& path) {
 }  // namespace
 
 int main() {
-  // -- 1. SQL engine, tracing + full telemetry enabled ---------------------
+  // -- 1. SQL engine, traced match + full telemetry ------------------------
   // A 10µs slow threshold is deliberately aggressive so this demo's handful
   // of matches lands something in the slow-query ring; production would use
   // milliseconds. admin_port = 0 binds an ephemeral localhost port.
   auto server = PolicyServer::Create({.engine = EngineKind::kSql,
-                                      .enable_tracing = true,
                                       .slow_query_threshold_us = 10,
                                       .trace_sample_every = 2,
                                       .enable_admin_endpoint = true,
@@ -107,8 +106,7 @@ int main() {
 
   // -- 2. Native APPEL engine: the §6 breakdown ----------------------------
   auto native = PolicyServer::Create({.engine = EngineKind::kNativeAppel,
-                                      .augmentation = Augmentation::kPerMatch,
-                                      .enable_tracing = true});
+                                      .augmentation = Augmentation::kPerMatch});
   if (!native.ok()) return Fail("native server", native.status());
   auto native_id =
       native.value()->InstallPolicy(p3pdb::workload::VolgaPolicy());

@@ -339,29 +339,18 @@ Status PolicyServer::RestoreFromStorage() {
     }
   }
 
-  // Policy catalog -> id list, name/version maps, and native evidence. The
-  // catalog stores the original un-augmented XML, so the DOM each non-SQL
-  // engine evaluates is rebuilt exactly as InstallPolicy built it. Slots
-  // are in install order, so the last row per name is the latest version.
+  // Policy catalog -> id list, name/version maps, and the engine's
+  // evidence. The catalog stores the original un-augmented XML, so the
+  // evidence is rebuilt exactly as InstallPolicy built it. Slots are in
+  // install order, so the last row per name is the latest version.
   const sqldb::Table* catalog = db_.LookupTable("PolicyCatalog");
   for (size_t slot = 0; slot < catalog->SlotCount(); ++slot) {
     if (!catalog->IsLive(slot)) continue;
     const sqldb::Row& row = catalog->RowAt(slot);
-    const int64_t policy_id = row[0].AsInteger();
-    const std::string name = row[1].AsText();
     P3PDB_ASSIGN_OR_RETURN(p3p::Policy policy,
                            p3p::PolicyFromText(row[3].AsText()));
-    p3p::Policy canonical = p3p::Canonicalized(policy);
-    if (options_.augmentation == Augmentation::kAtInstall) {
-      p3p::AugmentPolicy(&canonical);
-    }
-    policy_dom_[policy_id] = p3p::PolicyToXml(canonical);
-    if (options_.engine == EngineKind::kNativeAppel) {
-      policy_text_[policy_id] = xml::Write(*policy_dom_[policy_id]);
-    }
-    policy_ids_.push_back(policy_id);
-    latest_policy_by_name_[name] = policy_id;
-    policy_version_by_id_[policy_id] = row[2].AsInteger();
+    RecordPolicyLocked(row[0].AsInteger(), row[1].AsText(),
+                       row[2].AsInteger(), policy);
   }
 
   // Reference file: every engine keeps the native copy for URI resolution.
@@ -382,10 +371,6 @@ Status PolicyServer::RestoreFromStorage() {
       const int64_t id = log->RowAt(slot)[0].AsInteger();
       if (id + 1 > next_match_id_) next_match_id_ = id + 1;
     }
-  }
-
-  if (options_.collect_metrics) {
-    policies_installed_->Set(static_cast<int64_t>(policy_ids_.size()));
   }
   return Status::OK();
 }
@@ -445,54 +430,67 @@ Result<int64_t> PolicyServer::InstallPolicy(const p3p::Policy& policy) {
 
 Result<int64_t> PolicyServer::InstallPolicyLocked(const p3p::Policy& policy) {
   P3PDB_RETURN_IF_ERROR(policy.Validate());
-  p3p::Policy canonical = p3p::Canonicalized(policy);
-  if (options_.augmentation == Augmentation::kAtInstall) {
-    p3p::AugmentPolicy(&canonical);
-  }
 
   int64_t policy_id = -1;
   if (UsesSqlMatching()) {
+    p3p::Policy stored = StoredForm(policy);
     if (UsesSimpleSchema()) {
-      std::unique_ptr<xml::Element> dom = p3p::PolicyToXml(canonical);
+      std::unique_ptr<xml::Element> dom = p3p::PolicyToXml(stored);
       P3PDB_ASSIGN_OR_RETURN(policy_id, simple_shredder_->ShredPolicy(*dom));
     } else {
       P3PDB_ASSIGN_OR_RETURN(policy_id,
-                             optimized_shredder_->ShredPolicy(canonical));
+                             optimized_shredder_->ShredPolicy(stored));
     }
   } else {
     policy_id = static_cast<int64_t>(policy_ids_.size()) + 1;
   }
 
-  // Evidence for the non-SQL engines: DOM for the XML-store variations and
-  // serialized text for the client-centric baseline, which re-parses it on
-  // every match. (The original, un-augmented text is kept in the catalog
-  // for PolicyXml retrieval.)
-  policy_dom_[policy_id] = p3p::PolicyToXml(canonical);
-  if (options_.engine == EngineKind::kNativeAppel) {
-    policy_text_[policy_id] = xml::Write(*policy_dom_[policy_id]);
-  }
-
-  const std::string name =
-      policy.name.empty() ? ("policy-" + std::to_string(policy_id))
-                          : policy.name;
-  int64_t version = PolicyVersionLocked(name) + 1;
+  std::string name = policy.name.empty()
+                         ? ("policy-" + std::to_string(policy_id))
+                         : policy.name;
+  const int64_t version = PolicyVersionLocked(name) + 1;
+  // The catalog keeps the original, un-augmented text for PolicyXml
+  // retrieval and for rebuilding the evidence on a disk-backed reopen.
   P3PDB_RETURN_IF_ERROR(db_.InsertRow(
       "PolicyCatalog",
       {Value::Integer(policy_id), Value::Text(name), Value::Integer(version),
        Value::Text(p3p::PolicyToText(policy))}));
-
-  policy_ids_.push_back(policy_id);
-  latest_policy_by_name_[name] = policy_id;
-  policy_version_by_id_[policy_id] = version;
+  RecordPolicyLocked(policy_id, std::move(name), version, policy);
   // Cached URI/cookie results may now be stale (a re-installed name changes
   // what a path resolves to): bump the catalog version. Stale entries are
   // invalidated lazily at their next lookup. Policy-id entries are keyed by
   // this id's immutable (id, version) pair and stay valid.
   ++catalog_epoch_;
+  return policy_id;
+}
+
+p3p::Policy PolicyServer::StoredForm(const p3p::Policy& policy) const {
+  p3p::Policy stored = p3p::Canonicalized(policy);
+  if (options_.augmentation == Augmentation::kAtInstall) {
+    p3p::AugmentPolicy(&stored);
+  }
+  return stored;
+}
+
+void PolicyServer::RecordPolicyLocked(int64_t policy_id, std::string name,
+                                      int64_t version,
+                                      const p3p::Policy& policy) {
+  // Only the evidence this engine's match path reads: the DOM for the
+  // native XML store, and for the client-centric baseline the serialized
+  // text it re-parses on every match (a client receives policy XML over
+  // the wire, it does not share the site's DOM). The SQL engines match
+  // against the shredded rows and keep neither.
+  if (options_.engine == EngineKind::kXQueryNative) {
+    policy_dom_[policy_id] = p3p::PolicyToXml(StoredForm(policy));
+  } else if (options_.engine == EngineKind::kNativeAppel) {
+    policy_text_[policy_id] = xml::Write(*p3p::PolicyToXml(StoredForm(policy)));
+  }
+  policy_ids_.push_back(policy_id);
+  latest_policy_by_name_[std::move(name)] = policy_id;
+  policy_version_by_id_[policy_id] = version;
   if (options_.collect_metrics) {
     policies_installed_->Set(static_cast<int64_t>(policy_ids_.size()));
   }
-  return policy_id;
 }
 
 Status PolicyServer::InstallReferenceFile(const p3p::ReferenceFile& rf) {
@@ -550,18 +548,12 @@ Status PolicyServer::InstallReferenceFileLocked(const p3p::ReferenceFile& rf) {
 }
 
 Result<CompiledPreference> PolicyServer::CompilePreference(
-    const appel::AppelRuleset& ruleset) {
-  return CompilePreference(ruleset, nullptr);
-}
-
-Result<CompiledPreference> PolicyServer::CompilePreference(
     const appel::AppelRuleset& ruleset, obs::TraceContext* trace) {
   // Read-only against the server: translation touches no shared state and
   // the XTABLE bind check only reads the catalog, so compiles run
   // concurrently with matches and each other.
   std::shared_lock<std::shared_mutex> lock(mu_);
-  obs::TraceContext* t = EffectiveTrace(trace);
-  obs::ScopedSpan compile_span(t, "compile-preference");
+  obs::ScopedSpan compile_span(trace, "compile-preference");
   if (compile_span.active()) {
     compile_span.SetAttr("engine", EngineKindName(options_.engine));
     compile_span.AddCount("rules", ruleset.rules.size());
@@ -577,7 +569,7 @@ Result<CompiledPreference> PolicyServer::CompilePreference(
   pref.fingerprint = appel::RulesetFingerprint(ruleset);
   pref.ruleset = ruleset;
   {
-    obs::ScopedSpan translate_span(t, "translate");
+    obs::ScopedSpan translate_span(trace, "translate");
     switch (options_.engine) {
       case EngineKind::kNativeAppel:
         // No compilation in the client-centric model: the engine consumes
@@ -587,13 +579,13 @@ Result<CompiledPreference> PolicyServer::CompilePreference(
       case EngineKind::kSql: {
         translator::OptimizedSqlTranslator translator(/*parameterized=*/true);
         P3PDB_ASSIGN_OR_RETURN(pref.sql,
-                               translator.TranslateRuleset(ruleset, t));
+                               translator.TranslateRuleset(ruleset, trace));
         break;
       }
       case EngineKind::kSqlSimple: {
         translator::SimpleSqlTranslator translator(/*parameterized=*/true);
         P3PDB_ASSIGN_OR_RETURN(pref.sql,
-                               translator.TranslateRuleset(ruleset, t));
+                               translator.TranslateRuleset(ruleset, trace));
         break;
       }
       case EngineKind::kXQueryNative: {
@@ -793,90 +785,34 @@ Result<MatchResult> PolicyServer::EvaluateAgainstCurrent(
 }
 
 Result<MatchResult> PolicyServer::MatchUri(const CompiledPreference& pref,
-                                           std::string_view local_path) {
-  return MatchUri(pref, local_path, nullptr);
-}
-
-Result<MatchResult> PolicyServer::MatchUri(const CompiledPreference& pref,
                                            std::string_view local_path,
                                            obs::TraceContext* trace) {
-  return MatchPath(pref, local_path, /*for_cookie=*/false, trace);
-}
-
-Result<MatchResult> PolicyServer::MatchCookie(const CompiledPreference& pref,
-                                              std::string_view cookie_path) {
-  return MatchCookie(pref, cookie_path, nullptr);
+  return Match(pref, MatchSubject::kUri, local_path, -1, trace);
 }
 
 Result<MatchResult> PolicyServer::MatchCookie(const CompiledPreference& pref,
                                               std::string_view cookie_path,
                                               obs::TraceContext* trace) {
-  return MatchPath(pref, cookie_path, /*for_cookie=*/true, trace);
-}
-
-Result<MatchResult> PolicyServer::MatchPath(const CompiledPreference& pref,
-                                            std::string_view path,
-                                            bool for_cookie,
-                                            obs::TraceContext* trace) {
-  obs::TraceContext* t = EffectiveTrace(trace);
-  obs::ScopedSpan match_span(t, "match");
-  if (match_span.active()) {
-    match_span.SetAttr("engine", EngineKindName(options_.engine));
-    match_span.SetAttr(for_cookie ? "cookie" : "uri", path);
-  }
-  std::chrono::steady_clock::time_point start{};
-  if (options_.collect_metrics) start = std::chrono::steady_clock::now();
-
-  std::shared_lock<std::shared_mutex> lock(mu_);
-  const bool cacheable = match_cache_ != nullptr && pref.fingerprint != 0;
-  bool cache_hit = false;
-  MatchCacheKey key;
-  Result<MatchResult> result = [&]() -> Result<MatchResult> {
-    if (cacheable) {
-      key = MatchCacheKey{
-          pref.fingerprint,
-          for_cookie ? MatchSubject::kCookie : MatchSubject::kUri, -1,
-          std::string(path), static_cast<uint8_t>(options_.engine)};
-      if (std::optional<MatchResult> hit =
-              CachedMatch(key, catalog_epoch_, match_span)) {
-        cache_hit = true;
-        if (options_.record_matches) {
-          obs::ScopedSpan record_span(t, "record-match");
-          P3PDB_RETURN_IF_ERROR(RecordMatch(*hit));
-        }
-        return *hit;
-      }
-    }
-    P3PDB_ASSIGN_OR_RETURN(int64_t policy_id,
-                           FindApplicablePolicyId(path, for_cookie, t));
-    if (policy_id < 0) {
-      MatchResult miss;
-      miss.behavior = kNoPolicyBehavior;
-      miss.policy_found = false;
-      return miss;
-    }
-    return EvaluateAgainstCurrent(pref, policy_id, t);
-  }();
-  if (cacheable && !cache_hit) StoreMatch(key, catalog_epoch_, result);
-  FinishMatchSpan(match_span, result);
-  if (options_.collect_metrics) {
-    TallyMatch(result, MicrosSince(start), cache_hit);
-  }
-  return result;
-}
-
-Result<MatchResult> PolicyServer::MatchPolicyId(const CompiledPreference& pref,
-                                                int64_t policy_id) {
-  return MatchPolicyId(pref, policy_id, nullptr);
+  return Match(pref, MatchSubject::kCookie, cookie_path, -1, trace);
 }
 
 Result<MatchResult> PolicyServer::MatchPolicyId(const CompiledPreference& pref,
                                                 int64_t policy_id,
                                                 obs::TraceContext* trace) {
-  obs::TraceContext* t = EffectiveTrace(trace);
-  obs::ScopedSpan match_span(t, "match");
+  return Match(pref, MatchSubject::kPolicyId, {}, policy_id, trace);
+}
+
+Result<MatchResult> PolicyServer::Match(const CompiledPreference& pref,
+                                        MatchSubject subject,
+                                        std::string_view path,
+                                        int64_t policy_id,
+                                        obs::TraceContext* trace) {
+  const bool by_id = subject == MatchSubject::kPolicyId;
+  const bool for_cookie = subject == MatchSubject::kCookie;
+  obs::ScopedSpan match_span(trace, "match");
   if (match_span.active()) {
     match_span.SetAttr("engine", EngineKindName(options_.engine));
+    if (!by_id) match_span.SetAttr(for_cookie ? "cookie" : "uri", path);
   }
   std::chrono::steady_clock::time_point start{};
   if (options_.collect_metrics) start = std::chrono::steady_clock::now();
@@ -885,34 +821,46 @@ Result<MatchResult> PolicyServer::MatchPolicyId(const CompiledPreference& pref,
   const bool cacheable = match_cache_ != nullptr && pref.fingerprint != 0;
   bool cache_hit = false;
   MatchCacheKey key;
-  uint64_t version = 0;
+  // URI/cookie entries are stamped with the catalog epoch: any install may
+  // change what a path resolves to.
+  uint64_t version = catalog_epoch_;
   Result<MatchResult> result = [&]() -> Result<MatchResult> {
-    if (policy_dom_.find(policy_id) == policy_dom_.end()) {
-      return Status::NotFound("policy id " + std::to_string(policy_id) +
-                              " not installed");
-    }
-    if (cacheable) {
+    if (by_id) {
+      auto version_it = policy_version_by_id_.find(policy_id);
+      if (version_it == policy_version_by_id_.end()) {
+        return Status::NotFound("policy id " + std::to_string(policy_id) +
+                                " not installed");
+      }
       // Policy ids are immutable (re-installing a name mints a new id), so
       // the entry is stamped with the id's own version and survives
       // unrelated catalog changes.
-      auto version_it = policy_version_by_id_.find(policy_id);
-      version = version_it == policy_version_by_id_.end()
-                    ? 0
-                    : static_cast<uint64_t>(version_it->second);
-      key = MatchCacheKey{pref.fingerprint, MatchSubject::kPolicyId,
-                          policy_id, std::string(),
+      version = static_cast<uint64_t>(version_it->second);
+    }
+    if (cacheable) {
+      key = MatchCacheKey{pref.fingerprint, subject, policy_id,
+                          std::string(path),
                           static_cast<uint8_t>(options_.engine)};
       if (std::optional<MatchResult> hit =
               CachedMatch(key, version, match_span)) {
         cache_hit = true;
         if (options_.record_matches) {
-          obs::ScopedSpan record_span(t, "record-match");
+          obs::ScopedSpan record_span(trace, "record-match");
           P3PDB_RETURN_IF_ERROR(RecordMatch(*hit));
         }
         return *hit;
       }
     }
-    return EvaluateAgainstCurrent(pref, policy_id, t);
+    if (!by_id) {
+      P3PDB_ASSIGN_OR_RETURN(policy_id,
+                             FindApplicablePolicyId(path, for_cookie, trace));
+      if (policy_id < 0) {
+        MatchResult miss;
+        miss.behavior = kNoPolicyBehavior;
+        miss.policy_found = false;
+        return miss;
+      }
+    }
+    return EvaluateAgainstCurrent(pref, policy_id, trace);
   }();
   if (cacheable && !cache_hit) StoreMatch(key, version, result);
   FinishMatchSpan(match_span, result);
@@ -1069,20 +1017,15 @@ Status PolicyServer::RecordMatch(const MatchResult& result) {
        Value::Integer(result.fired_rule_index)});
 }
 
-int64_t PolicyServer::PolicyVersion(std::string_view name) {
+int64_t PolicyServer::PolicyVersion(std::string_view name) const {
   std::shared_lock<std::shared_mutex> lock(mu_);
   return PolicyVersionLocked(name);
 }
 
-int64_t PolicyServer::PolicyVersionLocked(std::string_view name) {
-  auto result = db_.Execute(
-      "SELECT MAX(version) FROM PolicyCatalog WHERE name = " +
-      SqlQuote(name));
-  if (!result.ok() || result.value().rows.empty() ||
-      result.value().rows[0][0].is_null()) {
-    return 0;
-  }
-  return result.value().rows[0][0].AsInteger();
+int64_t PolicyServer::PolicyVersionLocked(std::string_view name) const {
+  auto latest = latest_policy_by_name_.find(name);
+  if (latest == latest_policy_by_name_.end()) return 0;
+  return policy_version_by_id_.at(latest->second);
 }
 
 Result<std::string> PolicyServer::PolicyXml(std::string_view name,

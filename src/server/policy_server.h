@@ -10,7 +10,8 @@
 // Five engines cover the architecture matrix of Figure 7 and the three
 // variations of §4:
 //   kNativeAppel  — client-centric baseline: the JRC-style APPEL engine
-//                   matching against the policy DOM (specialized engine).
+//                   re-parsing the policy text on every match
+//                   (specialized engine).
 //   kSql          — the proposed system: optimized schema + Figure 15 SQL.
 //   kSqlSimple    — pedagogical: Figure 8 schema + Figure 11 SQL.
 //   kXQueryNative — APPEL -> XQuery evaluated directly on the XML policy
@@ -46,6 +47,18 @@
 // stale entries are never served (versioned invalidation; see
 // match_cache.h). A warm hit takes the shared lock, one shard lookup, and
 // zero SQL. On by default for every engine.
+//
+// Evidence: each engine keeps only what its match path reads. The SQL
+// engines match against the shredded rows and keep no per-policy copy in
+// memory; kXQueryNative keeps the augmented policy DOM; kNativeAppel keeps
+// the serialized policy text. The in-memory catalog (id list, latest id per
+// name, version per id) answers "is this id installed?" and "what is the
+// next version?" for every engine without SQL.
+//
+// Tracing: CompilePreference and the Match* calls take an optional
+// TraceContext*. Null (the default) is the only "tracing off" switch: every
+// span on the path is then a no-op that never reads the clock. A non-null
+// context receives the span tree described at each call.
 
 #ifndef P3PDB_SERVER_POLICY_SERVER_H_
 #define P3PDB_SERVER_POLICY_SERVER_H_
@@ -154,13 +167,9 @@ class PolicyServer {
     bool record_matches = false;
     /// Tally counters and latency histograms for matches and compiles into
     /// the server's MetricsRegistry (lock-free on the hot path; see
-    /// RenderMetricsText). Off switches even the clock reads off.
+    /// RenderMetricsText). Off switches even the clock reads off. (Tracing
+    /// has no option: pass a TraceContext* to the call to be traced.)
     bool collect_metrics = true;
-    /// Honor the TraceContext* passed to the Match*/CompilePreference
-    /// overloads. Off (the default) makes every instrumentation point a
-    /// no-op — the zero-overhead guarantee — even when a caller supplies a
-    /// context.
-    bool enable_tracing = false;
     /// Memoize full MatchResults in a sharded LRU keyed by (preference
     /// fingerprint, subject, catalog version, engine kind); installs bump
     /// the version so stale entries are never served. On by default.
@@ -197,9 +206,10 @@ class PolicyServer {
     /// overhead. Non-empty either bootstraps a fresh catalog into the
     /// directory or recovers an existing one: Create() detects a recovered
     /// PolicyCatalog, skips the schema installs, and rebuilds the in-memory
-    /// maps, policy DOMs, shredder id sequences, and reference file from
-    /// the durable tables. Each InstallPolicy / InstallReferenceFile is one
-    /// WAL transaction, so a crash mid-install recovers to "not installed".
+    /// maps, the engine's policy evidence, shredder id sequences, and
+    /// reference file from the durable tables. Each InstallPolicy /
+    /// InstallReferenceFile is one WAL transaction, so a crash mid-install
+    /// recovers to "not installed".
     std::string storage_path;
     size_t storage_buffer_pool_pages = 64;
     /// fsync the WAL on every commit (off trades tail-loss for speed).
@@ -247,47 +257,38 @@ class PolicyServer {
   /// queries (for kXQueryXTable, via XQuery, plus a bind check against the
   /// statement complexity budget). Matches submit the rule queries, which
   /// the database plans once and then serves from its plan cache.
+  ///
+  /// A non-null `trace` gets a `compile-preference` root span with a
+  /// `translate` child (one `translate-rule` child per rule for
+  /// kSql/kSqlSimple).
   Result<CompiledPreference> CompilePreference(
-      const appel::AppelRuleset& ruleset);
-
-  /// Traced compile: a `compile-preference` root span with a `translate`
-  /// child (one `translate-rule` child per rule for kSql/kSqlSimple). The
-  /// context is honored only when Options::enable_tracing is set.
-  Result<CompiledPreference> CompilePreference(
-      const appel::AppelRuleset& ruleset, obs::TraceContext* trace);
+      const appel::AppelRuleset& ruleset, obs::TraceContext* trace = nullptr);
 
   /// Full pipeline: locate the applicable policy for the URI local path,
   /// then evaluate the compiled preference against it.
-  Result<MatchResult> MatchUri(const CompiledPreference& pref,
-                               std::string_view local_path);
-
-  /// Traced match: a `match` root span covering `ref-lookup` and the
-  /// engine's evaluation steps — per-rule `rule-query` (with nested
+  ///
+  /// A non-null `trace` gets a `match` root span covering `ref-lookup` and
+  /// the engine's evaluation steps — per-rule `rule-query` (with nested
   /// sql-parse/sql-bind/sql-execute) for the SQL engines, or
   /// policy-parse/appel-parse plus the engine's category-augmentation and
-  /// connective-eval spans for the native path. Honored only when
-  /// Options::enable_tracing is set; a null context is always free.
+  /// connective-eval spans for the native path.
   Result<MatchResult> MatchUri(const CompiledPreference& pref,
                                std::string_view local_path,
-                               obs::TraceContext* trace);
+                               obs::TraceContext* trace = nullptr);
 
   /// Like MatchUri, but resolves the URI of a cookie via the reference
   /// file's COOKIE-INCLUDE/COOKIE-EXCLUDE patterns (§5.5).
   Result<MatchResult> MatchCookie(const CompiledPreference& pref,
-                                  std::string_view cookie_path);
-
-  Result<MatchResult> MatchCookie(const CompiledPreference& pref,
                                   std::string_view cookie_path,
-                                  obs::TraceContext* trace);
+                                  obs::TraceContext* trace = nullptr);
 
   /// Evaluates the compiled preference against one installed policy
   /// (the paper's experiments match each preference against every policy).
-  Result<MatchResult> MatchPolicyId(const CompiledPreference& pref,
-                                    int64_t policy_id);
-
+  /// NotFound, never memoized, for an id that was never installed. Traced
+  /// like MatchUri, without the `ref-lookup` span.
   Result<MatchResult> MatchPolicyId(const CompiledPreference& pref,
                                     int64_t policy_id,
-                                    obs::TraceContext* trace);
+                                    obs::TraceContext* trace = nullptr);
 
   /// Resolves a POLICY-REF `about` URI (by its fragment name) to the
   /// latest installed policy id; nullopt when unknown. Used by the hybrid
@@ -297,7 +298,7 @@ class PolicyServer {
   // -- §4.2 extras ---------------------------------------------------------
 
   /// Latest version number of a named policy (0 if not installed).
-  int64_t PolicyVersion(std::string_view name);
+  int64_t PolicyVersion(std::string_view name) const;
 
   /// XML text of a specific installed version (NotFound if absent).
   Result<std::string> PolicyXml(std::string_view name, int64_t version);
@@ -389,17 +390,30 @@ class PolicyServer {
   /// configuration and rebuilds all in-memory state from them.
   Status RestoreFromStorage();
   Result<int64_t> InstallPolicyLocked(const p3p::Policy& policy);
+  /// The policy as the engines see it: canonicalized, and augmented with
+  /// base-schema categories under Augmentation::kAtInstall.
+  p3p::Policy StoredForm(const p3p::Policy& policy) const;
+  /// Records one installed policy version — shared by InstallPolicyLocked
+  /// and RestoreFromStorage: id list, name and version maps, and the
+  /// evidence this engine's match path reads, built from the StoredForm of
+  /// `policy` (the policy as installed).
+  void RecordPolicyLocked(int64_t policy_id, std::string name,
+                          int64_t version, const p3p::Policy& policy);
   Status InstallReferenceFileLocked(const p3p::ReferenceFile& rf);
   bool UsesSqlMatching() const;
   bool UsesSimpleSchema() const;
   Result<int64_t> FindApplicablePolicyId(std::string_view local_path,
                                          bool for_cookie,
                                          obs::TraceContext* trace);
-  /// MatchUri and MatchCookie: resolve `path` through the reference file
-  /// (its COOKIE-INCLUDE/EXCLUDE patterns when `for_cookie`), then evaluate.
-  Result<MatchResult> MatchPath(const CompiledPreference& pref,
-                                std::string_view path, bool for_cookie,
-                                obs::TraceContext* trace);
+  /// The one match pipeline behind MatchUri, MatchCookie and
+  /// MatchPolicyId: root span, clock, shared lock, cache probe (MatchLog
+  /// append on a hit), evaluation, cache store, span outcome, tally. A
+  /// kUri/kCookie `subject` resolves `path` through the reference file and
+  /// stamps its cache entry with the catalog epoch; kPolicyId checks that
+  /// `policy_id` is installed and stamps the entry with that id's version.
+  Result<MatchResult> Match(const CompiledPreference& pref,
+                            MatchSubject subject, std::string_view path,
+                            int64_t policy_id, obs::TraceContext* trace);
   Result<MatchResult> EvaluateAgainstCurrent(const CompiledPreference& pref,
                                              int64_t policy_id,
                                              obs::TraceContext* trace);
@@ -417,13 +431,6 @@ class PolicyServer {
   void StoreMatch(const MatchCacheKey& key, uint64_t version,
                   const Result<MatchResult>& result);
 
-  /// The context instrumentation actually sees: null unless
-  /// Options::enable_tracing is set (so disabled tracing never reads the
-  /// clock, whatever the caller passed).
-  obs::TraceContext* EffectiveTrace(obs::TraceContext* trace) const {
-    return options_.enable_tracing ? trace : nullptr;
-  }
-
   /// Tallies one finished match into the counters/histograms (no-op unless
   /// Options::collect_metrics). `cache_hit` routes the latency into the
   /// p3p_match_cache_{hit,miss}_duration_us histogram as well.
@@ -436,7 +443,7 @@ class PolicyServer {
   /// activity without putting a registry touch on the query hot path.
   void SyncDatabaseMetrics() const;
 
-  int64_t PolicyVersionLocked(std::string_view name);
+  int64_t PolicyVersionLocked(std::string_view name) const;
   std::optional<int64_t> FindPolicyIdByAboutLocked(
       std::string_view about) const;
 
@@ -452,10 +459,9 @@ class PolicyServer {
   sqldb::Database db_;
   appel::NativeEngine native_engine_;
 
-  // Native-evidence store: the policy DOM each non-SQL engine evaluates,
-  // plus the serialized text the client-centric baseline re-parses per
-  // match (a client receives policy XML over the wire, it does not share
-  // the site's DOM).
+  // Per-engine evidence (see RecordPolicyLocked): the augmented DOM, kept
+  // only by kXQueryNative, and the serialized text, kept only by
+  // kNativeAppel. Both stay empty for the SQL engines.
   std::map<int64_t, std::unique_ptr<xml::Element>> policy_dom_;
   std::map<int64_t, std::string> policy_text_;
   std::vector<int64_t> policy_ids_;

@@ -94,8 +94,7 @@ Result<MatchResult> ProxyService::Handle(std::string_view user,
                                          std::string_view host,
                                          std::string_view path, bool cookie,
                                          obs::TraceContext* trace) {
-  // The proxy span opens regardless of the site's enable_tracing option —
-  // the proxy is its own deployment; a null context is still free.
+  // A null context makes every span below a no-op.
   obs::ScopedSpan span(trace, "proxy-request");
   if (span.active()) {
     span.SetAttr("user", user);
@@ -129,21 +128,9 @@ Result<MatchResult> ProxyService::Handle(std::string_view user,
 
 Result<MatchResult> ProxyService::HandleRequest(std::string_view user,
                                                 std::string_view host,
-                                                std::string_view path) {
-  return Handle(user, host, path, /*cookie=*/false, nullptr);
-}
-
-Result<MatchResult> ProxyService::HandleRequest(std::string_view user,
-                                                std::string_view host,
                                                 std::string_view path,
                                                 obs::TraceContext* trace) {
   return Handle(user, host, path, /*cookie=*/false, trace);
-}
-
-Result<MatchResult> ProxyService::HandleCookie(std::string_view user,
-                                               std::string_view host,
-                                               std::string_view cookie_path) {
-  return Handle(user, host, cookie_path, /*cookie=*/true, nullptr);
 }
 
 Result<MatchResult> ProxyService::HandleCookie(std::string_view user,

@@ -77,7 +77,7 @@ Status ShardedPolicyServer::Init() {
 
   if (!options_.storage_path.empty()) {
     // The durable store shreds nothing (kNativeAppel keeps catalog rows and
-    // policy DOMs only) and serves no traffic; it is the WAL-backed system
+    // policy text only) and serves no traffic; it is the WAL-backed system
     // of record whose group commit coalesces cross-shard install fsyncs.
     PolicyServer::Options o;
     o.engine = EngineKind::kNativeAppel;
@@ -233,17 +233,8 @@ Result<MatchResult> ShardedPolicyServer::MatchPolicyId(
   }
   const int64_t n = static_cast<int64_t>(shards_.size());
   const size_t k = static_cast<size_t>(global_policy_id % n);
-  const int64_t local_id = global_policy_id / n;
-  Shard& shard = *shards_[k];
-  auto snapshot = shard.published.Load();
-  Result<MatchResult> result = snapshot->server->MatchPolicyId(pref, local_id);
-  if (matches_total_ != nullptr) matches_total_->Increment();
-  if (shard.matches_total != nullptr) shard.matches_total->Increment();
-  if (result.ok() && result.value().policy_id >= 0) {
-    result.value().policy_id =
-        result.value().policy_id * n + static_cast<int64_t>(k);
-  }
-  return result;
+  auto snapshot = shards_[k]->published.Load();
+  return MatchOnShard(k, *snapshot, pref, global_policy_id / n);
 }
 
 Result<MatchResult> ShardedPolicyServer::MatchResolved(
@@ -272,11 +263,17 @@ Result<MatchResult> ShardedPolicyServer::MatchResolved(
     miss.policy_found = false;
     return miss;
   }
-  Shard& shard = *shards_[k];
-  Result<MatchResult> result =
-      snapshot->server->MatchPolicyId(pref, *local_id);
+  return MatchOnShard(k, *snapshot, pref, *local_id);
+}
+
+Result<MatchResult> ShardedPolicyServer::MatchOnShard(
+    size_t k, const ShardSnapshot& snapshot, const CompiledPreference& pref,
+    int64_t local_id) {
+  Result<MatchResult> result = snapshot.server->MatchPolicyId(pref, local_id);
   if (matches_total_ != nullptr) matches_total_->Increment();
-  if (shard.matches_total != nullptr) shard.matches_total->Increment();
+  if (shards_[k]->matches_total != nullptr) {
+    shards_[k]->matches_total->Increment();
+  }
   if (result.ok() && result.value().policy_id >= 0) {
     result.value().policy_id =
         result.value().policy_id * static_cast<int64_t>(shards_.size()) +

@@ -244,6 +244,12 @@ class ShardedPolicyServer {
   void PublishDirectory(const p3p::ReferenceFile& rf);
   Result<MatchResult> MatchResolved(const CompiledPreference& pref,
                                     std::string_view path, bool for_cookie);
+  /// The shard-match tail shared by MatchPolicyId and MatchResolved: the
+  /// replica match on shard `k`'s pinned snapshot, the tier tallies, and
+  /// the local -> global (`local * shards + k`) id remap of the result.
+  Result<MatchResult> MatchOnShard(size_t k, const ShardSnapshot& snapshot,
+                                   const CompiledPreference& pref,
+                                   int64_t local_id);
 
   Options options_;
   std::vector<std::unique_ptr<Shard>> shards_;

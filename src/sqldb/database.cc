@@ -178,61 +178,20 @@ void Database::ResetStats() {
   for (const auto& shard : shards_) shard->stats.Reset();
 }
 
-Result<QueryResult> Database::Execute(std::string_view sql) {
-  if (std::shared_ptr<const SelectStmt> plan = LookupCachedPlan(sql)) {
-    return RunBoundSelect(*plan, nullptr, nullptr);
-  }
-  P3PDB_ASSIGN_OR_RETURN(std::unique_ptr<Statement> stmt,
-                         ParseStatement(sql));
-  if (stmt->kind == StatementKind::kSelect) {
-    auto* select = static_cast<SelectStmt*>(stmt.get());
-    P3PDB_RETURN_IF_ERROR(BindAndPlan(select, sql));
-    std::shared_ptr<const SelectStmt> plan = ShareSelect(std::move(stmt),
-                                                         select);
-    StoreCachedPlan(sql, plan);
-    return RunBoundSelect(*plan, nullptr, nullptr);
-  }
-  return ExecuteParsed(stmt.get());
-}
-
-Result<QueryResult> Database::Execute(std::string_view sql,
-                                      const std::vector<Value>& params) {
-  if (std::shared_ptr<const SelectStmt> plan = LookupCachedPlan(sql)) {
-    return RunBoundSelect(*plan, &params, nullptr);
-  }
-  P3PDB_ASSIGN_OR_RETURN(std::unique_ptr<Statement> stmt,
-                         ParseStatement(sql));
-  if (stmt->kind == StatementKind::kSelect) {
-    auto* select = static_cast<SelectStmt*>(stmt.get());
-    P3PDB_RETURN_IF_ERROR(BindAndPlan(select, sql));
-    std::shared_ptr<const SelectStmt> plan = ShareSelect(std::move(stmt),
-                                                         select);
-    StoreCachedPlan(sql, plan);
-    return RunBoundSelect(*plan, &params, nullptr);
-  }
-  if (stmt->kind != StatementKind::kExplain) {
-    return Status::Unsupported(
-        "bind parameters are only supported for SELECT statements");
-  }
-  return ExecuteParsed(stmt.get(), &params);
-}
-
 Result<QueryResult> Database::Execute(std::string_view sql,
                                       obs::TraceContext* trace) {
-  if (trace == nullptr) return Execute(sql);
-  return ExecuteTraced(sql, nullptr, trace);
+  return ExecuteText(sql, nullptr, trace);
 }
 
 Result<QueryResult> Database::Execute(std::string_view sql,
                                       const std::vector<Value>& params,
                                       obs::TraceContext* trace) {
-  if (trace == nullptr) return Execute(sql, params);
-  return ExecuteTraced(sql, &params, trace);
+  return ExecuteText(sql, &params, trace);
 }
 
-Result<QueryResult> Database::ExecuteTraced(std::string_view sql,
-                                            const std::vector<Value>* params,
-                                            obs::TraceContext* trace) {
+Result<QueryResult> Database::ExecuteText(std::string_view sql,
+                                          const std::vector<Value>* params,
+                                          obs::TraceContext* trace) {
   // A plan-cache hit skips the parse and bind spans entirely — that absence
   // in the trace *is* the signal that the cached path ran.
   if (std::shared_ptr<const SelectStmt> plan = LookupCachedPlan(sql)) {
@@ -243,24 +202,17 @@ Result<QueryResult> Database::ExecuteTraced(std::string_view sql,
   parse_span.End();
   P3PDB_RETURN_IF_ERROR(parsed.status());
   Statement* stmt = parsed.value().get();
-  if (params != nullptr && stmt->kind != StatementKind::kSelect &&
-      stmt->kind != StatementKind::kExplain) {
-    return Status::Unsupported(
-        "bind parameters are only supported for SELECT statements");
-  }
   if (stmt->kind != StatementKind::kSelect) {
+    if (params != nullptr && stmt->kind != StatementKind::kExplain) {
+      return Status::Unsupported(
+          "bind parameters are only supported for SELECT statements");
+    }
     // DDL/DML/EXPLAIN: bind+execute as one span; per-node detail for
     // SELECTs comes from EXPLAIN ANALYZE, not the trace.
     obs::ScopedSpan exec_span(trace, "sql-execute");
     return ExecuteParsed(stmt, params);
   }
   auto* select = static_cast<SelectStmt*>(stmt);
-  const size_t supplied = params == nullptr ? 0 : params->size();
-  if (supplied != select->param_count) {
-    return Status::InvalidArgument(
-        "statement takes " + std::to_string(select->param_count) +
-        " parameter(s) but " + std::to_string(supplied) + " were supplied");
-  }
   {
     obs::ScopedSpan bind_span(trace, "sql-bind");
     P3PDB_RETURN_IF_ERROR(BindAndPlan(select, sql));
@@ -448,16 +400,6 @@ Result<PreparedStatement> Database::Prepare(std::string_view sql) {
   return prepared;
 }
 
-Result<QueryResult> PreparedStatement::Execute() const {
-  static const std::vector<Value> kNoParams;
-  return Execute(kNoParams);
-}
-
-Result<QueryResult> PreparedStatement::Execute(
-    const std::vector<Value>& params) const {
-  return Execute(params, nullptr);
-}
-
 Result<QueryResult> PreparedStatement::Execute(
     const std::vector<Value>& params, obs::TraceContext* trace) const {
   if (stmt_ == nullptr) {
@@ -494,21 +436,8 @@ Result<QueryResult> Database::ExecuteParsed(Statement* stmt,
   switch (stmt->kind) {
     case StatementKind::kSelect: {
       auto* select = static_cast<SelectStmt*>(stmt);
-      const size_t supplied = params == nullptr ? 0 : params->size();
-      if (supplied != select->param_count) {
-        return Status::InvalidArgument(
-            "statement takes " + std::to_string(select->param_count) +
-            " parameter(s) but " + std::to_string(supplied) +
-            " were supplied");
-      }
       P3PDB_RETURN_IF_ERROR(BindAndPlan(select));
-      ExecStats local;
-      Executor executor(&local, params, nullptr,
-                        ExecConfig{options_.enable_vectorized_executor,
-                                   options_.vector_chunk_size});
-      auto result = executor.RunSelect(*select);
-      LocalStats().MergeSingleWriter(local);
-      return result;
+      return RunBoundSelect(*select, params, nullptr);
     }
     case StatementKind::kInsert: {
       auto result = ExecuteInsert(static_cast<InsertStmt*>(stmt));

@@ -65,19 +65,13 @@ class PreparedStatement {
  public:
   PreparedStatement() = default;
 
-  /// Runs the statement against the database it was prepared on. The
-  /// catalog must still contain the bound tables. Fails if the statement
-  /// contains `?` placeholders (their values would be unbound).
-  Result<QueryResult> Execute() const;
-
-  /// Runs the statement with one value per `?` placeholder, in order.
-  /// `params.size()` must equal param_count().
-  Result<QueryResult> Execute(const std::vector<Value>& params) const;
-
-  /// As above, recording an `sql-execute` trace span (row and access-path
-  /// counters attached). A null `trace` is a plain Execute.
-  Result<QueryResult> Execute(const std::vector<Value>& params,
-                              obs::TraceContext* trace) const;
+  /// Runs the statement against the database it was prepared on, with one
+  /// value per `?` placeholder, in order (`params.size()` must equal
+  /// param_count()). The catalog must still contain the bound tables. A
+  /// non-null `trace` records an `sql-execute` span (row and access-path
+  /// counters attached).
+  Result<QueryResult> Execute(const std::vector<Value>& params = {},
+                              obs::TraceContext* trace = nullptr) const;
 
   bool valid() const { return stmt_ != nullptr; }
   /// The SQL text the statement was prepared from.
@@ -222,20 +216,17 @@ class Database : public CatalogView {
   Status Checkpoint();
 
   /// Parses and executes one SQL statement. Statements containing `?`
-  /// placeholders are rejected (use the parameterized overload).
-  Result<QueryResult> Execute(std::string_view sql);
+  /// placeholders are rejected (use the parameterized overload). A non-null
+  /// `trace` records `sql-parse` / `sql-bind` / `sql-execute` spans; a
+  /// plan-cache hit records only `sql-execute`.
+  Result<QueryResult> Execute(std::string_view sql,
+                              obs::TraceContext* trace = nullptr);
 
   /// Parses and executes one SELECT (or EXPLAIN [ANALYZE]) with one value
-  /// per `?` placeholder.
-  Result<QueryResult> Execute(std::string_view sql,
-                              const std::vector<Value>& params);
-
-  /// Traced variants: record `sql-parse` / `sql-bind` / `sql-execute`
-  /// spans into `trace` (null = untraced, identical to the above).
-  Result<QueryResult> Execute(std::string_view sql, obs::TraceContext* trace);
+  /// per `?` placeholder; other statement kinds are rejected.
   Result<QueryResult> Execute(std::string_view sql,
                               const std::vector<Value>& params,
-                              obs::TraceContext* trace);
+                              obs::TraceContext* trace = nullptr);
 
   /// Parses and binds a SELECT once for repeated execution.
   Result<PreparedStatement> Prepare(std::string_view sql);
@@ -294,9 +285,12 @@ class Database : public CatalogView {
 
   Result<QueryResult> ExecuteParsed(Statement* stmt,
                                     const std::vector<Value>* params = nullptr);
-  Result<QueryResult> ExecuteTraced(std::string_view sql,
-                                    const std::vector<Value>* params,
-                                    obs::TraceContext* trace);
+  /// The one SQL-text pipeline behind both Execute overloads: plan-cache
+  /// lookup -> parse -> bind/plan -> cache store -> run. `params` is null
+  /// for the unparameterized overload.
+  Result<QueryResult> ExecuteText(std::string_view sql,
+                                  const std::vector<Value>* params,
+                                  obs::TraceContext* trace);
 
   /// Binds (and, when enabled, plans) a freshly parsed SELECT, counting the
   /// work in the stats aggregate. With statement stats on and a non-empty
@@ -311,7 +305,8 @@ class Database : public CatalogView {
                              const std::vector<Value>* params,
                              double elapsed_us);
   /// Runs a bound SELECT: param-count check, private-stats execution,
-  /// merge. Shared by the plan-cache hit path and the fresh-parse path.
+  /// merge. Text, prepared and script SELECTs all run through here, so a
+  /// parameter-count mismatch fails the same way on every path.
   Result<QueryResult> RunBoundSelect(const SelectStmt& select,
                                      const std::vector<Value>* params,
                                      obs::TraceContext* trace);

@@ -149,6 +149,7 @@ class Parser {
   }
 
   Result<std::string> ParseAttrValue() {
+    if (cur_.AtEnd()) return cur_.Error("expected quoted attribute value");
     char quote = cur_.Peek();
     if (quote != '"' && quote != '\'') {
       return cur_.Error("expected quoted attribute value");

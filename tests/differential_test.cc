@@ -3,7 +3,9 @@
 // Draws seeded random (policy, preference) pairs — corpus policies crossed
 // with preferences from the full pattern grammar — and checks that all five
 // engines, plus the memoized (cached) match path exercised both cold and
-// warm, report byte-identical behavior and fired rule. One disagreement
+// warm and the traced match path (a live TraceContext on a fresh server per
+// pair, so every rule query runs the traced parse/bind path), report
+// byte-identical behavior and fired rule. One disagreement
 // fails the suite loudly: the harness greedily minimizes the pair
 // (dropping preference rules, then policy statements, while the
 // disagreement persists) and prints the minimized preference and policy
@@ -28,6 +30,7 @@
 
 #include "appel/model.h"
 #include "common/random.h"
+#include "obs/trace.h"
 #include "p3p/policy_xml.h"
 #include "server/policy_server.h"
 #include "workload/corpus.h"
@@ -50,24 +53,28 @@ constexpr const char* kFailureArtifact = "differential_failure.txt";
 /// engines diverged.
 constexpr const char* kStatementsArtifact = "differential_statements.txt";
 
-// The engines under differential test: the five-engine matrix plus cached
-// and disk-backed variants of the SQL match path.
+// The engines under differential test: the five-engine matrix plus cached,
+// disk-backed and traced variants of the SQL match path.
 struct EngineConfig {
   const char* label;
   EngineKind kind;
   bool cached;  // enable the match cache and match each pair twice
   bool disk;    // back the server by the disk storage engine (WAL + pages)
+  bool traced;  // default-options server, fresh per pair, matched with a
+                // live TraceContext
 };
 
 constexpr EngineConfig kConfigs[] = {
-    {"native-appel", EngineKind::kNativeAppel, false, false},
-    {"sql", EngineKind::kSql, false, false},
-    {"sql-simple", EngineKind::kSqlSimple, false, false},
-    {"xquery-native", EngineKind::kXQueryNative, false, false},
-    {"xquery-xtable", EngineKind::kXQueryXTable, false, false},
-    {"sql+cache", EngineKind::kSql, true, false},
-    {"xtable+cache", EngineKind::kXQueryXTable, true, false},
-    {"sql+disk", EngineKind::kSql, false, true},
+    {"native-appel", EngineKind::kNativeAppel, false, false, false},
+    {"sql", EngineKind::kSql, false, false, false},
+    {"sql-simple", EngineKind::kSqlSimple, false, false, false},
+    {"xquery-native", EngineKind::kXQueryNative, false, false, false},
+    {"xquery-xtable", EngineKind::kXQueryXTable, false, false, false},
+    {"sql+cache", EngineKind::kSql, true, false, false},
+    {"xtable+cache", EngineKind::kXQueryXTable, true, false, false},
+    {"sql+disk", EngineKind::kSql, false, true, false},
+    {"sql+trace", EngineKind::kSql, false, false, true},
+    {"xtable+trace", EngineKind::kXQueryXTable, false, false, true},
 };
 
 /// Applied to each engine's raw result before comparison; the perturbation
@@ -89,10 +96,12 @@ struct Disagreement {
 std::unique_ptr<PolicyServer> MakeEngine(const EngineConfig& config) {
   PolicyServer::Options options;
   options.engine = config.kind;
-  options.augmentation = config.kind == EngineKind::kNativeAppel
-                             ? Augmentation::kPerMatch
-                             : Augmentation::kAtInstall;
-  options.enable_match_cache = config.cached;
+  if (!config.traced) {  // traced columns keep every other default
+    options.augmentation = config.kind == EngineKind::kNativeAppel
+                               ? Augmentation::kPerMatch
+                               : Augmentation::kAtInstall;
+    options.enable_match_cache = config.cached;
+  }
   if (config.disk) {
     // Fresh directory per server: minimization rebuilds engines per
     // candidate and must not recover a previous candidate's catalog.
@@ -104,6 +113,34 @@ std::unique_ptr<PolicyServer> MakeEngine(const EngineConfig& config) {
   auto server = PolicyServer::Create(options);
   EXPECT_TRUE(server.ok()) << server.status();
   return std::move(server).value();
+}
+
+/// A traced column's match. The server must be fresh (nothing executed
+/// yet), so the first rule query misses the plan cache and its parse and
+/// bind run under the trace; a trace without an `sql-bind` span means the
+/// column did not exercise that path and fails the pair.
+Result<MatchResult> TracedMatch(PolicyServer& server,
+                                const CompiledPreference& pref,
+                                int64_t policy_id) {
+  obs::TraceContext trace;
+  P3PDB_ASSIGN_OR_RETURN(MatchResult result,
+                         server.MatchPolicyId(pref, policy_id, &trace));
+  if (trace.FindSpan("sql-bind") == nullptr) {
+    return Status::Internal("traced match recorded no sql-bind span:\n" +
+                            trace.RenderText());
+  }
+  return result;
+}
+
+/// Sweep's traced columns: the persistent fixture only compiles (the
+/// compiled form is database-independent); every pair is matched on a
+/// fresh server.
+Result<MatchResult> MatchOnFreshServer(const EngineConfig& config,
+                                       const CompiledPreference& pref,
+                                       const p3p::Policy& policy) {
+  std::unique_ptr<PolicyServer> server = MakeEngine(config);
+  P3PDB_ASSIGN_OR_RETURN(int64_t id, server->InstallPolicy(policy));
+  return TracedMatch(*server, pref, id);
 }
 
 /// Evaluates one (preference, policy) pair on every engine. Returns the
@@ -129,7 +166,10 @@ std::optional<std::vector<Observation>> Observe(
     }
     int passes = config.cached ? 2 : 1;
     for (int pass = 0; pass < passes; ++pass) {
-      auto result = server->MatchPolicyId(compiled.value(), id.value());
+      auto result =
+          config.traced
+              ? TracedMatch(*server, compiled.value(), id.value())
+              : server->MatchPolicyId(compiled.value(), id.value());
       if (!result.ok()) {
         *error = std::string(config.label) + ": match: " +
                  result.status().ToString();
@@ -287,8 +327,12 @@ std::optional<Disagreement> Sweep(uint64_t seed, int preference_count,
       for (size_t f = 0; f < fixtures.size(); ++f) {
         int passes = fixtures[f].config.cached ? 2 : 1;
         for (int pass = 0; pass < passes; ++pass) {
-          auto result = fixtures[f].server->MatchPolicyId(
-              compiled[f], fixtures[f].ids[pol]);
+          Result<MatchResult> result =
+              fixtures[f].config.traced
+                  ? MatchOnFreshServer(fixtures[f].config, compiled[f],
+                                       policies[pol])
+                  : fixtures[f].server->MatchPolicyId(compiled[f],
+                                                      fixtures[f].ids[pol]);
           EXPECT_TRUE(result.ok())
               << fixtures[f].config.label << ": " << result.status();
           if (!result.ok()) return std::nullopt;

@@ -1,7 +1,8 @@
 // End-to-end observability tests: the match path's trace shape on both
 // engines, the §6.3.2 category-augmentation finding reproduced by counters
 // (deterministic — no wall-clock assertions), server/proxy metrics, and the
-// zero-overhead guarantee when tracing is disabled.
+// one tracing switch: a supplied context is traced, a null one is not, and
+// the two paths return identical results.
 
 #include <gtest/gtest.h>
 
@@ -19,10 +20,9 @@ using obs::TraceContext;
 using obs::TraceSpan;
 
 Result<std::unique_ptr<PolicyServer>> MakeSqlServer(
-    bool tracing, bool record_matches = false) {
+    bool record_matches = false) {
   PolicyServer::Options options;
   options.engine = EngineKind::kSql;
-  options.enable_tracing = tracing;
   options.record_matches = record_matches;
   P3PDB_ASSIGN_OR_RETURN(std::unique_ptr<PolicyServer> server,
                          PolicyServer::Create(options));
@@ -48,8 +48,7 @@ TEST(ObservabilityTest, Section6AugmentationDominatesByCounter) {
   // schema — not evaluating the rule connectives. The spans carry explicit
   // work counters (elements visited), so the comparison is deterministic.
   auto server = PolicyServer::Create({.engine = EngineKind::kNativeAppel,
-                                      .augmentation = Augmentation::kPerMatch,
-                                      .enable_tracing = true});
+                                      .augmentation = Augmentation::kPerMatch});
   ASSERT_TRUE(server.ok());
   auto policy_id = server.value()->InstallPolicy(workload::VolgaPolicy());
   ASSERT_TRUE(policy_id.ok());
@@ -83,8 +82,7 @@ TEST(ObservabilityTest, PreAugmentedEngineSkipsAugmentationSpan) {
   // disappears from the trace entirely.
   auto server =
       PolicyServer::Create({.engine = EngineKind::kNativeAppel,
-                            .augmentation = Augmentation::kAtInstall,
-                            .enable_tracing = true});
+                            .augmentation = Augmentation::kAtInstall});
   ASSERT_TRUE(server.ok());
   auto policy_id = server.value()->InstallPolicy(workload::VolgaPolicy());
   ASSERT_TRUE(policy_id.ok());
@@ -100,7 +98,7 @@ TEST(ObservabilityTest, PreAugmentedEngineSkipsAugmentationSpan) {
 }
 
 TEST(ObservabilityTest, SqlMatchTraceShape) {
-  auto server = MakeSqlServer(/*tracing=*/true, /*record_matches=*/true);
+  auto server = MakeSqlServer(/*record_matches=*/true);
   ASSERT_TRUE(server.ok());
   auto pref = server.value()->CompilePreference(workload::JanePreference());
   ASSERT_TRUE(pref.ok());
@@ -127,7 +125,7 @@ TEST(ObservabilityTest, SqlMatchTraceShape) {
 }
 
 TEST(ObservabilityTest, TracedCompileHasTranslateSpans) {
-  auto server = MakeSqlServer(/*tracing=*/true);
+  auto server = MakeSqlServer();
   ASSERT_TRUE(server.ok());
   TraceContext trace;
   auto pref = server.value()->CompilePreference(workload::JanePreference(),
@@ -140,22 +138,69 @@ TEST(ObservabilityTest, TracedCompileHasTranslateSpans) {
   EXPECT_NE(trace.FindSpan("translate-rule"), nullptr) << trace.RenderText();
 }
 
-TEST(ObservabilityTest, DisabledTracingLeavesContextUntouched) {
-  // enable_tracing=false (the default): a supplied context must stay empty —
-  // the guarantee behind "zero overhead when tracing is off" (no spans, no
-  // clock reads on the match path).
-  auto server = MakeSqlServer(/*tracing=*/false);
-  ASSERT_TRUE(server.ok());
-  auto pref = server.value()->CompilePreference(workload::JanePreference());
-  ASSERT_TRUE(pref.ok());
-  TraceContext trace;
-  ASSERT_TRUE(
-      server.value()->MatchUri(pref.value(), "/catalog/specials", &trace).ok());
-  EXPECT_EQ(trace.root(), nullptr);
+TEST(ObservabilityTest, SuppliedContextIsTheOnlyTracingSwitch) {
+  // A default-options server has no tracing option to turn on: passing a
+  // context is what traces a match, and passing none (null) is the
+  // untraced path. Each subject is matched on two fresh servers — one
+  // traced, one not — so both run the full resolve/evaluate pipeline, and
+  // the answers must be identical.
+  struct Subject {
+    const char* path;  // null = match by policy id
+    bool cookie;
+  };
+  const Subject subjects[] = {{"/catalog/specials", false},
+                              {"/catalog/books/1984", false},
+                              {"/about/team", false},
+                              {"/cart/session", true},
+                              {nullptr, false}};
+  for (const Subject& subject : subjects) {
+    SCOPED_TRACE(subject.path == nullptr ? "policy-id" : subject.path);
+    Result<MatchResult> results[2] = {Status::Internal("unset"),
+                                      Status::Internal("unset")};
+    for (int traced = 0; traced < 2; ++traced) {
+      auto server = PolicyServer::Create(PolicyServer::Options{});
+      ASSERT_TRUE(server.ok());
+      PolicyServer& s = *server.value();
+      auto policy_id = s.InstallPolicy(workload::VolgaPolicy());
+      ASSERT_TRUE(policy_id.ok());
+      ASSERT_TRUE(s.InstallReferenceFile(workload::VolgaReferenceFile()).ok());
+      auto pref = s.CompilePreference(workload::JanePreference());
+      ASSERT_TRUE(pref.ok());
+      TraceContext trace;
+      TraceContext* t = traced == 1 ? &trace : nullptr;
+      results[traced] =
+          subject.path == nullptr
+              ? s.MatchPolicyId(pref.value(), policy_id.value(), t)
+          : subject.cookie ? s.MatchCookie(pref.value(), subject.path, t)
+                           : s.MatchUri(pref.value(), subject.path, t);
+      ASSERT_TRUE(results[traced].ok()) << results[traced].status();
+      if (t == nullptr) {
+        EXPECT_EQ(trace.root(), nullptr);
+        continue;
+      }
+      ASSERT_NE(trace.root(), nullptr);
+      EXPECT_EQ(trace.root()->name, "match") << trace.RenderText();
+      EXPECT_EQ(trace.root()->FindChild("ref-lookup") != nullptr,
+                subject.path != nullptr)
+          << trace.RenderText();
+      if (results[traced].value().policy_found) {
+        EXPECT_NE(trace.FindSpan("rule-query"), nullptr)
+            << trace.RenderText();
+        EXPECT_NE(trace.FindSpan("sql-execute"), nullptr)
+            << trace.RenderText();
+      }
+    }
+    const MatchResult& untraced = results[0].value();
+    const MatchResult& traced = results[1].value();
+    EXPECT_EQ(untraced.behavior, traced.behavior);
+    EXPECT_EQ(untraced.fired_rule_index, traced.fired_rule_index);
+    EXPECT_EQ(untraced.policy_found, traced.policy_found);
+    EXPECT_EQ(untraced.policy_id, traced.policy_id);
+  }
 }
 
 TEST(ObservabilityTest, ServerMetricsCountMatches) {
-  auto server = MakeSqlServer(/*tracing=*/false);
+  auto server = MakeSqlServer();
   ASSERT_TRUE(server.ok());
   auto pref = server.value()->CompilePreference(workload::JanePreference());
   ASSERT_TRUE(pref.ok());
@@ -211,7 +256,6 @@ TEST(ObservabilityTest, MetricsCanBeDisabled) {
 TEST(ObservabilityTest, ProxyCountsRequestsAndForwardsTrace) {
   PolicyServer::Options site_options;
   site_options.engine = EngineKind::kSql;
-  site_options.enable_tracing = true;
   ProxyService proxy(site_options);
   auto site = proxy.AddSite("books.example");
   ASSERT_TRUE(site.ok());

@@ -4,6 +4,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cctype>
+#include <string>
+#include <vector>
+
 #include "server/policy_server.h"
 #include "workload/corpus.h"
 #include "workload/jrc_preferences.h"
@@ -62,6 +67,112 @@ TEST(PolicyServerTest, VersioningTracksReinstalls) {
   EXPECT_NE(xml2.value().find("opt-out"), std::string::npos);
   EXPECT_FALSE(server->PolicyXml("volga", 3).ok());
   EXPECT_EQ(server->PolicyVersion("unknown"), 0);
+
+  // A third install counts on from the in-memory catalog.
+  ASSERT_TRUE(server->InstallPolicy(v1).ok());
+  EXPECT_EQ(server->PolicyVersion("volga"), 3);
+  EXPECT_TRUE(server->PolicyXml("volga", 3).ok());
+}
+
+TEST(PolicyServerTest, InstallsIssueNoVersionQuery) {
+  // The next version comes from the in-memory catalog (latest id per name
+  // -> version per id), not from a MAX(version) scan of PolicyCatalog: the
+  // statement-stats registry, which interns every SELECT the database
+  // plans, never sees one.
+  PolicyServer::Options options;
+  options.engine = EngineKind::kSql;
+  auto server = MustCreate(options);
+  const std::vector<p3p::Policy> corpus =
+      workload::FortuneCorpus({.seed = 5, .policy_count = 3});
+  for (int round = 1; round <= 3; ++round) {
+    for (const p3p::Policy& policy : corpus) {
+      ASSERT_TRUE(server->InstallPolicy(policy).ok());
+      EXPECT_EQ(server->PolicyVersion(policy.name), round) << policy.name;
+    }
+  }
+  ASSERT_TRUE(server->InstallPolicy(VolgaPolicy()).ok());
+  EXPECT_EQ(server->PolicyVersion("volga"), 1);
+
+  // A match populates the registry, so an empty scan below is not an
+  // artifact of statement stats being off.
+  auto pref = server->CompilePreference(JanePreference());
+  ASSERT_TRUE(pref.ok());
+  ASSERT_TRUE(server->MatchPolicyId(pref.value(), server->policy_ids().back())
+                  .ok());
+  const auto statements = server->statement_stats().Snapshot();
+  EXPECT_FALSE(statements.empty());
+  for (const auto& statement : statements) {
+    // Normalization may re-space the call ("max (version)"): compare with
+    // whitespace removed.
+    std::string sql;
+    for (unsigned char c : statement.normalized_sql) {
+      if (!std::isspace(c)) sql.push_back(static_cast<char>(std::tolower(c)));
+    }
+    EXPECT_EQ(sql.find("max(version)"), std::string::npos)
+        << statement.normalized_sql;
+  }
+}
+
+TEST(PolicyServerTest, UninstalledPolicyIdIsNotFoundAndNeverMemoized) {
+  // Every engine, match cache on and off: an id that was never installed
+  // answers NotFound, the answer is not cached, and once the id is
+  // installed it matches normally. Id sequences are deterministic per
+  // configuration, so a twin server tells which ids the installs will mint
+  // and the probes can ask for exactly those before they exist.
+  const std::vector<p3p::Policy> corpus =
+      workload::FortuneCorpus({.seed = 9, .policy_count = 3});
+  for (EngineKind kind :
+       {EngineKind::kNativeAppel, EngineKind::kSql, EngineKind::kSqlSimple,
+        EngineKind::kXQueryNative, EngineKind::kXQueryXTable}) {
+    for (bool cached : {true, false}) {
+      SCOPED_TRACE(std::string(EngineKindName(kind)) +
+                   (cached ? " cached" : " uncached"));
+      PolicyServer::Options options;
+      options.engine = kind;
+      options.enable_match_cache = cached;
+      std::vector<int64_t> minted;
+      auto twin = MustCreate(options);
+      for (const p3p::Policy& policy : corpus) {
+        auto id = twin->InstallPolicy(policy);
+        ASSERT_TRUE(id.ok()) << id.status();
+        minted.push_back(id.value());
+      }
+      std::vector<int64_t> probes = {-1, 0, 1000000};
+      probes.insert(probes.end(), minted.begin(), minted.end());
+
+      auto server = MustCreate(options);
+      auto pref = server->CompilePreference(JanePreference());
+      ASSERT_TRUE(pref.ok()) << pref.status();
+      for (int pass = 0; pass < 2; ++pass) {
+        for (int64_t id : probes) {
+          auto result = server->MatchPolicyId(pref.value(), id);
+          ASSERT_FALSE(result.ok()) << id;
+          EXPECT_EQ(result.status().code(), StatusCode::kNotFound) << id;
+        }
+      }
+      if (cached) {
+        const MatchCache::Stats stats = server->match_cache()->TotalStats();
+        EXPECT_EQ(stats.entries, 0u);
+        EXPECT_EQ(stats.hits, 0u);
+      }
+
+      for (size_t i = 0; i < corpus.size(); ++i) {
+        auto id = server->InstallPolicy(corpus[i]);
+        ASSERT_TRUE(id.ok()) << id.status();
+        ASSERT_EQ(id.value(), minted[i]);
+      }
+      for (int64_t id : probes) {
+        const bool installed =
+            std::find(minted.begin(), minted.end(), id) != minted.end();
+        auto result = server->MatchPolicyId(pref.value(), id);
+        EXPECT_EQ(result.ok(), installed) << id;
+        if (installed) {
+          ASSERT_TRUE(result.ok()) << result.status();
+          EXPECT_EQ(result.value().policy_id, id);
+        }
+      }
+    }
+  }
 }
 
 TEST(PolicyServerTest, ReferenceFileResolvesToLatestVersion) {

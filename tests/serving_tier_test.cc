@@ -170,6 +170,54 @@ TEST(ServingTierTest, GlobalIdMatchesAgreeWithSingleServer) {
   EXPECT_EQ(tier.value()->catalog_epoch(), 1 + corpus.size());
 }
 
+TEST(ServingTierTest, UninstalledGlobalIdIsNotFoundAndNeverMemoized) {
+  // A 2-shard tier with the replicas' match caches on (the default): a
+  // global id nobody installed answers NotFound on every shard, and the
+  // answer is not memoized — once installs mint those ids they match.
+  auto tier = ShardedPolicyServer::Create(TierOptions(2));
+  ASSERT_TRUE(tier.ok()) << tier.status();
+  ASSERT_TRUE(tier.value()->options().enable_match_cache);
+  auto pref =
+      tier.value()->CompilePreference(JrcPreference(PreferenceLevel::kHigh));
+  ASSERT_TRUE(pref.ok());
+  std::vector<int64_t> probe_ids = {-1, 1000};
+  for (int64_t id = 0; id < 12; ++id) probe_ids.push_back(id);
+  for (int pass = 0; pass < 2; ++pass) {
+    for (int64_t id : probe_ids) {
+      auto result = tier.value()->MatchPolicyId(pref.value(), id);
+      ASSERT_FALSE(result.ok()) << id;
+      EXPECT_EQ(result.status().code(), StatusCode::kNotFound) << id;
+    }
+  }
+
+  std::vector<int64_t> installed;
+  for (const p3p::Policy& policy :
+       workload::FortuneCorpus({.seed = 4, .policy_count = 6})) {
+    auto id = tier.value()->InstallPolicy(policy);
+    ASSERT_TRUE(id.ok()) << id.status();
+    installed.push_back(id.value());
+  }
+  for (int64_t id : probe_ids) {
+    const bool is_installed =
+        std::find(installed.begin(), installed.end(), id) != installed.end();
+    auto result = tier.value()->MatchPolicyId(pref.value(), id);
+    EXPECT_EQ(result.ok(), is_installed) << id;
+    if (is_installed) {
+      ASSERT_TRUE(result.ok()) << result.status();
+      EXPECT_EQ(result.value().policy_id, id);
+    }
+  }
+  // Both shards took installs, and every minted id was probed before.
+  std::set<int64_t> shards;
+  for (int64_t id : installed) {
+    shards.insert(id % 2);
+    EXPECT_NE(std::find(probe_ids.begin(), probe_ids.end(), id),
+              probe_ids.end())
+        << id;
+  }
+  EXPECT_EQ(shards.size(), 2u);
+}
+
 TEST(ServingTierTest, MatchUriResolvesAcrossShards) {
   const std::vector<p3p::Policy> corpus = workload::FortuneCorpus();
   auto tier = ShardedPolicyServer::Create(TierOptions(3));

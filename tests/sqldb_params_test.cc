@@ -70,6 +70,22 @@ TEST_F(SqldbParamsTest, ParamCountMismatchIsRejected) {
       {Value::Integer(3), Value::Integer(1963)});
   ASSERT_TRUE(exact.ok()) << exact.status();
   EXPECT_EQ(exact.value().rows.size(), 1u);
+
+  // The SQL-text path fails the same way, traced or not, on a plan-cache
+  // miss (the first submission) and on a hit (the repeat). Each mode gets
+  // its own text so that each starts with a miss.
+  obs::TraceContext trace;
+  obs::TraceContext* const modes[] = {&trace, nullptr};
+  for (obs::TraceContext* t : modes) {
+    const std::string sql =
+        std::string("SELECT * FROM Album WHERE album_id = ? AND year = ?") +
+        (t == nullptr ? "" : " ");
+    for (int pass = 0; pass < 2; ++pass) {
+      auto text = db_.Execute(sql, {Value::Integer(3)}, t);
+      ASSERT_FALSE(text.ok());
+      EXPECT_EQ(text.status().ToString(), too_few.status().ToString());
+    }
+  }
 }
 
 TEST_F(SqldbParamsTest, ExecuteWithParamsOnNonSelectIsRejected) {

@@ -107,6 +107,9 @@ TEST(XmlParserTest, UnknownEntityFails) {
 
 TEST(XmlParserTest, UnterminatedAttributeFails) {
   EXPECT_FALSE(Parse("<a x=\"1/>").ok());
+  // Input ending where the value's opening quote should be.
+  EXPECT_FALSE(Parse("<a b=").ok());
+  EXPECT_FALSE(Parse("<a b=  ").ok());
 }
 
 TEST(XmlParserTest, LtInAttributeFails) {
