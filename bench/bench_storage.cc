@@ -11,22 +11,24 @@
 //   storage/install_disk       the same installs with WAL append + fsync
 //                              per install transaction
 //   storage/open_checkpoint    cold open of a checkpointed directory
-//                              (pages through the buffer pool, no replay)
+//                              (one sequential pass over the image, no
+//                              replay)
 //   storage/open_wal_replay    cold open of the same corpus left entirely
 //                              in the WAL (two-pass scan + redo)
 //
 // The checkpoint-vs-replay pair is the recovery-cost tradeoff the
 // checkpoint threshold (`storage_checkpoint_wal_bytes`) tunes: a
 // checkpoint is sequential page reads, replay re-executes every committed
-// record. Buffer-pool hit rates for the checkpointed open are printed
-// alongside.
+// record. The checkpoint image's size in 8 KiB pages is printed alongside.
 //
 // `--group-commit` runs a different experiment: what fsync coalescing buys
 // concurrent installers. Eight threads (enough in-flight committers that a
 // leader sync has real followers to absorb) install disjoint slices of the
-// corpus into one disk-backed server, once with group commit (staged
-// commits, lock released before the fsync, leader/follower coalescing) and
-// once without (each install fsyncs under the exclusive lock). Two
+// corpus into one disk-backed server. Every commit stages its record and
+// waits in the leader/follower fsync queue; the server's
+// `storage_group_commit` flag chooses whether an install releases its
+// exclusive lock before that wait (so concurrent installs coalesce onto one
+// leader fsync) or holds it (so each install pays its own fsync). Two
 // records:
 //
 //   storage/install_disk_concurrent_group
@@ -127,7 +129,7 @@ struct ConcurrentInstallResult {
   TimingStats per_install;   // per-install wall time, merged across threads
   double elapsed_us = 0.0;   // whole run, wall clock
   uint64_t installs = 0;
-  uint64_t group_syncs = 0;  // wal_group_syncs over the run (0 = no grouping)
+  uint64_t syncs = 0;        // WAL fsyncs over the run
 
   double InstallsPerSec() const {
     return elapsed_us <= 0.0 ? 0.0 : installs / (elapsed_us / 1e6);
@@ -137,7 +139,7 @@ struct ConcurrentInstallResult {
 /// kInstallerThreads threads race disjoint corpus slices into one disk-backed
 /// server. With `group_commit` the exclusive lock is released before the
 /// fsync and concurrent committers coalesce onto one leader sync; without
-/// it every install serializes its own fsync under the lock.
+/// it every install waits for its own fsync under the lock.
 ///
 /// The server is the serving tier's durable-store shape — kNativeAppel,
 /// catalog rows only — so the install cost is the durability tail itself,
@@ -194,8 +196,7 @@ ConcurrentInstallResult InstallCorpusConcurrently(
     for (double us : stats.samples()) result.per_install.Add(us);
   }
   result.installs = corpus.size();
-  result.group_syncs =
-      server.value()->database()->storage_stats().wal_group_syncs;
+  result.syncs = server.value()->database()->storage_stats().wal_syncs;
   server.value().reset();  // close before removing the directory
   std::filesystem::remove_all(dir);
   return result;
@@ -216,17 +217,20 @@ void RunGroupCommit(const std::string& json_path) {
   if (group.installs == 0 || nogroup.installs == 0) return;
 
   std::printf(
-      "fsync-per-install: %s installs/sec  avg %s p99 %s\n"
+      "fsync-per-install: %s installs/sec  avg %s p99 %s  "
+      "(%llu fsyncs for %llu installs)\n"
       "group commit:      %s installs/sec  avg %s p99 %s  "
-      "(%llu leader syncs for %llu installs)\n"
+      "(%llu fsyncs for %llu installs)\n"
       "speedup: %sx\n\n",
       FormatDouble(nogroup.InstallsPerSec(), 0).c_str(),
       FormatMicros(nogroup.per_install.Average()).c_str(),
       FormatMicros(nogroup.per_install.Percentile(99.0)).c_str(),
+      static_cast<unsigned long long>(nogroup.syncs),
+      static_cast<unsigned long long>(nogroup.installs),
       FormatDouble(group.InstallsPerSec(), 0).c_str(),
       FormatMicros(group.per_install.Average()).c_str(),
       FormatMicros(group.per_install.Percentile(99.0)).c_str(),
-      static_cast<unsigned long long>(group.group_syncs),
+      static_cast<unsigned long long>(group.syncs),
       static_cast<unsigned long long>(group.installs),
       FormatDouble(group.InstallsPerSec() / nogroup.InstallsPerSec(), 2)
           .c_str());
@@ -304,12 +308,15 @@ void Run(const std::string& json_path, bool no_stats) {
       FormatMicros(open_wal.Average()).c_str(),
       static_cast<unsigned long long>(wal_stats.recovered_records),
       static_cast<unsigned long long>(wal_stats.recovered_txns));
-  const uint64_t fetches = ckpt_stats.pool.hits + ckpt_stats.pool.misses;
-  std::printf(
-      "checkpoint open pool: %llu fetches, %.1f%% hits, %llu evictions\n\n",
-      static_cast<unsigned long long>(fetches),
-      fetches == 0 ? 0.0 : 100.0 * ckpt_stats.pool.hits / fetches,
-      static_cast<unsigned long long>(ckpt_stats.pool.evictions));
+  uint64_t image_bytes = 0;
+  for (const auto& entry : std::filesystem::directory_iterator(ckpt_dir)) {
+    if (entry.path().filename().string().starts_with("checkpoint.")) {
+      image_bytes += entry.file_size();
+    }
+  }
+  std::printf("checkpoint image: %llu bytes (%llu 8 KiB pages)\n\n",
+              static_cast<unsigned long long>(image_bytes),
+              static_cast<unsigned long long>((image_bytes + 8191) / 8192));
 
   std::filesystem::remove_all(ckpt_dir);
   std::filesystem::remove_all(wal_dir);

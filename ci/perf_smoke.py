@@ -2,10 +2,10 @@
 """Perf smoke gate: compare a fresh bench JSON report against a baseline.
 
 Usage:
-    perf_smoke.py BASELINE.json CURRENT.json --record NAME [--record NAME...]
-                  [--max-ratio 3.0]
+    perf_smoke.py BASELINE.json CURRENT.json [CURRENT.json...]
+                  --record NAME [--record NAME...] [--max-ratio 3.0]
 
-Both files are arrays of records as written by WriteBenchJson (harness.cc):
+All files are arrays of records as written by WriteBenchJson (harness.cc):
 each record has at least {"name", "ns_per_op", "p50_ns"}. The gate fails
 (exit 1) only when a named record's latency regressed by more than
 --max-ratio versus the baseline. Every other record is reported but never
@@ -14,11 +14,15 @@ magnitude went wrong", not "3% slower than last Tuesday".
 
 The gated metric is p50_ns (median — robust against one slow sample on a
 shared runner), falling back to ns_per_op for records that carry no
-distribution.
+distribution. With several CURRENT files (repeated runs of the same
+benchmark) a record's current latency is the median of its per-run values,
+so one run landing on a busy moment cannot fail the gate alone. A gated
+record must be present in every CURRENT file.
 """
 
 import argparse
 import json
+import statistics
 import sys
 
 
@@ -38,7 +42,7 @@ def latency_ns(record):
 def main():
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("baseline")
-    parser.add_argument("current")
+    parser.add_argument("current", nargs="+")
     parser.add_argument(
         "--record",
         action="append",
@@ -49,17 +53,23 @@ def main():
     args = parser.parse_args()
 
     baseline = load_records(args.baseline)
-    current = load_records(args.current)
+    runs = [load_records(path) for path in args.current]
+    current_ns = {}
+    for name in set().union(*runs):
+        current_ns[name] = statistics.median(
+            latency_ns(run[name]) for run in runs if name in run
+        )
 
-    shared = sorted(set(baseline) & set(current))
+    shared = sorted(set(baseline) & set(current_ns))
     if not shared:
         raise SystemExit("no record names shared between baseline and current")
 
+    print(f"current = median over {len(runs)} run(s)")
     print(f"{'record':<40} {'baseline':>12} {'current':>12} {'ratio':>8}")
     ratios = {}
     for name in shared:
         base_ns = latency_ns(baseline[name])
-        cur_ns = latency_ns(current[name])
+        cur_ns = current_ns[name]
         ratio = cur_ns / base_ns if base_ns > 0 else float("inf")
         ratios[name] = ratio
         gate_mark = " *" if name in args.record else ""
@@ -70,8 +80,11 @@ def main():
 
     failed = []
     for name in args.record:
-        if name not in current:
-            failed.append(f"gated record '{name}' missing from {args.current}")
+        missing = [p for p, run in zip(args.current, runs) if name not in run]
+        if missing:
+            failed.append(
+                f"gated record '{name}' missing from {', '.join(missing)}"
+            )
         elif name not in baseline:
             failed.append(f"gated record '{name}' missing from {args.baseline}")
         elif ratios[name] > args.max_ratio:

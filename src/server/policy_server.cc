@@ -112,10 +112,8 @@ PolicyServer::PolicyServer(Options options)
           .trace_sample_every = options.trace_sample_every,
           .slow_log_capacity = options.slow_log_capacity,
           .storage_path = options.storage_path,
-          .storage_buffer_pool_pages = options.storage_buffer_pool_pages,
           .storage_sync_on_commit = options.storage_sync_on_commit,
           .storage_checkpoint_wal_bytes = options.storage_checkpoint_wal_bytes,
-          .storage_group_commit = options.storage_group_commit,
           .storage_group_commit_window_us =
               options.storage_group_commit_window_us,
           .storage_checkpoint_on_close = options.storage_checkpoint_on_close,
@@ -177,15 +175,9 @@ PolicyServer::PolicyServer(Options options)
     storage_wal_commits_ =
         metrics_.GetCounter("p3p_storage_wal_commits_total");
     storage_wal_syncs_ = metrics_.GetCounter("p3p_storage_wal_syncs_total");
-    storage_wal_group_syncs_ =
-        metrics_.GetCounter("p3p_storage_wal_group_syncs_total");
     storage_wal_bytes_ = metrics_.GetCounter("p3p_storage_wal_bytes_total");
     storage_checkpoints_ =
         metrics_.GetCounter("p3p_storage_checkpoints_total");
-    storage_pool_hits_ =
-        metrics_.GetCounter("p3p_storage_buffer_pool_hits_total");
-    storage_pool_misses_ =
-        metrics_.GetCounter("p3p_storage_buffer_pool_misses_total");
     storage_recovered_txns_ =
         metrics_.GetCounter("p3p_storage_recovered_txns_total");
   }
@@ -411,21 +403,21 @@ Result<int64_t> PolicyServer::InstallPolicy(const p3p::Policy& policy) {
   // every path to keep disk and memory identical.
   P3PDB_RETURN_IF_ERROR(db_.BeginTransaction());
   auto result = InstallPolicyLocked(policy);
-  if (options_.storage_group_commit) {
-    // Two-phase commit: every WAL record (including the commit record) is
-    // already appended, so the exclusive lock can be released before the
-    // fsync — matches proceed and concurrent installers coalesce their
-    // fsyncs in WaitDurable's leader/follower queue.
-    auto ticket = db_.CommitTransactionStaged();
-    if (!ticket.ok()) return result.ok() ? ticket.status() : result;
-    lock.unlock();
-    Status durable = db_.WaitDurable(ticket.value());
-    if (result.ok() && !durable.ok()) return durable;
-    return result;
-  }
-  Status commit = db_.CommitTransaction();
+  Status commit = CommitInstall(lock);
   if (result.ok() && !commit.ok()) return commit;
   return result;
+}
+
+Status PolicyServer::CommitInstall(std::unique_lock<std::shared_mutex>& lock) {
+  P3PDB_ASSIGN_OR_RETURN(uint64_t ticket, db_.CommitTransactionStaged());
+  if (options_.storage_group_commit) {
+    // Every WAL record (including the commit record) is already appended,
+    // so the exclusive lock can be released before the fsync — matches
+    // proceed and concurrent installers coalesce their fsyncs in
+    // WaitDurable's leader/follower queue.
+    lock.unlock();
+  }
+  return db_.WaitDurable(ticket);
 }
 
 Result<int64_t> PolicyServer::InstallPolicyLocked(const p3p::Policy& policy) {
@@ -499,15 +491,7 @@ Status PolicyServer::InstallReferenceFile(const p3p::ReferenceFile& rf) {
   // the reshred, and the RefFileCatalog swap commit together.
   P3PDB_RETURN_IF_ERROR(db_.BeginTransaction());
   Status result = InstallReferenceFileLocked(rf);
-  if (options_.storage_group_commit) {
-    auto ticket = db_.CommitTransactionStaged();
-    if (!ticket.ok()) return result.ok() ? ticket.status() : result;
-    lock.unlock();
-    Status durable = db_.WaitDurable(ticket.value());
-    if (result.ok() && !durable.ok()) return durable;
-    return result;
-  }
-  Status commit = db_.CommitTransaction();
+  Status commit = CommitInstall(lock);
   if (result.ok() && !commit.ok()) return commit;
   return result;
 }
@@ -939,11 +923,8 @@ void PolicyServer::SyncDatabaseMetrics() const {
     sync(storage_wal_records_, storage.wal_records);
     sync(storage_wal_commits_, storage.wal_commits);
     sync(storage_wal_syncs_, storage.wal_syncs);
-    sync(storage_wal_group_syncs_, storage.wal_group_syncs);
     sync(storage_wal_bytes_, storage.wal_bytes);
     sync(storage_checkpoints_, storage.checkpoints);
-    sync(storage_pool_hits_, storage.pool.hits);
-    sync(storage_pool_misses_, storage.pool.misses);
     sync(storage_recovered_txns_, storage.recovered_txns);
   }
   uptime_seconds_->Set(std::chrono::duration_cast<std::chrono::seconds>(

@@ -211,17 +211,16 @@ class PolicyServer {
     /// InstallReferenceFile is one WAL transaction, so a crash mid-install
     /// recovers to "not installed".
     std::string storage_path;
-    size_t storage_buffer_pool_pages = 64;
     /// fsync the WAL on every commit (off trades tail-loss for speed).
     bool storage_sync_on_commit = true;
     /// Auto-checkpoint once this many WAL bytes accumulate; 0 disables.
     uint64_t storage_checkpoint_wal_bytes = 4ull << 20;
     bool storage_checkpoint_on_close = true;
-    /// WAL group commit: installs stage their commit record under the
-    /// exclusive lock but fsync *after releasing it*, joining a
-    /// leader/follower queue that coalesces concurrent installs into one
-    /// fsync. Durability is unchanged (InstallPolicy still returns only
-    /// once its commit record is on disk); what changes is that matches no
+    /// Every install stages its commit record under the exclusive lock and
+    /// then waits in the WAL's group-commit queue for the fsync. This flag
+    /// only chooses whether the install releases the lock *before* that
+    /// wait. Durability is unchanged (InstallPolicy still returns only once
+    /// its commit record is on disk); what changes is that matches no
     /// longer wait behind an installer's fsync, and N concurrent installers
     /// pay ~1 fsync instead of N.
     bool storage_group_commit = false;
@@ -400,6 +399,10 @@ class PolicyServer {
   void RecordPolicyLocked(int64_t policy_id, std::string name,
                           int64_t version, const p3p::Policy& policy);
   Status InstallReferenceFileLocked(const p3p::ReferenceFile& rf);
+  /// Commits an install's transaction: stages the commit record under
+  /// `lock` (the exclusive lock), releases the lock only when
+  /// Options::storage_group_commit is set, then waits for the fsync.
+  Status CommitInstall(std::unique_lock<std::shared_mutex>& lock);
   bool UsesSqlMatching() const;
   bool UsesSimpleSchema() const;
   Result<int64_t> FindApplicablePolicyId(std::string_view local_path,
@@ -529,17 +532,14 @@ class PolicyServer {
   obs::Counter* sql_stats_updates_ = nullptr;
   obs::Counter* sql_stats_rebuilds_ = nullptr;
   obs::Counter* sql_stats_epoch_bumps_ = nullptr;
-  // Mirrors of the storage engine's WAL/buffer-pool counters. Registered
+  // Mirrors of the storage engine's WAL/checkpoint counters. Registered
   // only when Options::storage_path is set, so in-memory servers expose
   // exactly the metric set they always did; null pointers mean "no storage".
   obs::Counter* storage_wal_records_ = nullptr;
   obs::Counter* storage_wal_commits_ = nullptr;
   obs::Counter* storage_wal_syncs_ = nullptr;
-  obs::Counter* storage_wal_group_syncs_ = nullptr;
   obs::Counter* storage_wal_bytes_ = nullptr;
   obs::Counter* storage_checkpoints_ = nullptr;
-  obs::Counter* storage_pool_hits_ = nullptr;
-  obs::Counter* storage_pool_misses_ = nullptr;
   obs::Counter* storage_recovered_txns_ = nullptr;
 };
 

@@ -94,13 +94,13 @@ class ShardedPolicyServer {
     /// Directory for the durable store. Empty = no durability (bench and
     /// test use); non-empty opens or recovers it at Create.
     std::string storage_path;
-    size_t storage_buffer_pool_pages = 64;
     bool storage_sync_on_commit = true;
     uint64_t storage_checkpoint_wal_bytes = 4ull << 20;
     bool storage_checkpoint_on_close = true;
-    /// Group commit for the durable store — the default here, unlike the
-    /// single server: concurrent installs to different shards are exactly
-    /// the traffic whose fsyncs coalesce.
+    /// The durable store's installs release their lock before the WAL
+    /// fsync (PolicyServer::Options::storage_group_commit) — the default
+    /// here, unlike the single server: concurrent installs to different
+    /// shards are exactly the traffic whose fsyncs coalesce.
     bool storage_group_commit = true;
     uint64_t storage_group_commit_window_us = 0;
     /// Serve /healthz, /metrics, /metrics.json, /statements over the

@@ -62,10 +62,8 @@ Database::~Database() {
 Status Database::OpenStorage() {
   StorageEngine::Options sopts;
   sopts.path = options_.storage_path;
-  sopts.buffer_pool_pages = options_.storage_buffer_pool_pages;
   sopts.sync_on_commit = options_.storage_sync_on_commit;
   sopts.checkpoint_wal_bytes = options_.storage_checkpoint_wal_bytes;
-  sopts.group_commit = options_.storage_group_commit;
   sopts.group_commit_window_us = options_.storage_group_commit_window_us;
   sopts.backend_factory = options_.storage_backend_factory;
   auto engine = StorageEngine::Open(std::move(sopts));
@@ -113,10 +111,8 @@ Status Database::BeginTransaction() {
 }
 
 Status Database::CommitTransaction() {
-  if (!storage_status_.ok()) return storage_status_;
-  if (storage_ == nullptr) return Status::OK();
-  P3PDB_RETURN_IF_ERROR(storage_->Commit());
-  return storage_->MaybeCheckpoint(*this);
+  P3PDB_ASSIGN_OR_RETURN(uint64_t ticket, CommitTransactionStaged());
+  return WaitDurable(ticket);
 }
 
 Result<uint64_t> Database::CommitTransactionStaged() {

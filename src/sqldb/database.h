@@ -136,24 +136,20 @@ class Database : public CatalogView {
     uint32_t trace_sample_every = 0;
     /// Ring capacity of the slow-query log.
     size_t slow_log_capacity = 128;
-    /// Directory for the disk-backed storage engine (page files + WAL,
+    /// Directory for the disk-backed storage engine (checkpoints + WAL,
     /// see storage.h). Empty — the default — keeps the database purely
     /// in-memory with zero storage overhead on any path. Non-empty opens
     /// (creating or recovering) the directory at construction; check
     /// storage_status() before use.
     std::string storage_path;
-    /// Buffer pool capacity, in kPageSize frames, for checkpoint I/O.
-    size_t storage_buffer_pool_pages = 64;
     /// fsync the WAL on every commit (off trades tail-loss for speed).
     bool storage_sync_on_commit = true;
     /// Auto-checkpoint once this many WAL bytes accumulate; 0 disables.
     uint64_t storage_checkpoint_wal_bytes = 4ull << 20;
-    /// Group commit: concurrent committers share one WAL fsync via a
-    /// leader/follower queue instead of paying one fsync each. Also enables
-    /// the two-phase CommitTransactionStaged/WaitDurable surface.
-    bool storage_group_commit = false;
-    /// Extra microseconds a group-commit leader waits for followers to
-    /// stage before fsyncing; 0 adds no latency.
+    /// Every commit fsyncs through a leader/follower queue, so concurrent
+    /// committers share one WAL fsync. This is the extra microseconds a
+    /// leader waits for followers to stage before fsyncing; 0 adds no
+    /// latency.
     uint64_t storage_group_commit_window_us = 0;
     /// Take a final checkpoint in the destructor so the next open loads a
     /// compact image instead of replaying the whole WAL.
@@ -189,7 +185,7 @@ class Database : public CatalogView {
   bool storage_active() const {
     return storage_ != nullptr && storage_status_.ok();
   }
-  /// WAL/buffer-pool/recovery counters; zeros when not disk-backed.
+  /// WAL/checkpoint/recovery counters; zeros when not disk-backed.
   StorageStats storage_stats() const {
     return storage_ != nullptr ? storage_->stats() : StorageStats{};
   }
@@ -199,9 +195,10 @@ class Database : public CatalogView {
   /// Transactions group durability only — there is no rollback; partial
   /// effects of a failed statement remain, exactly as in-memory.
   Status BeginTransaction();
+  /// CommitTransactionStaged followed by WaitDurable.
   Status CommitTransaction();
 
-  /// Two-phase variant of CommitTransaction: appends the commit record and
+  /// The two phases of CommitTransaction: appends the commit record and
   /// returns a durability ticket without fsyncing, so a caller holding an
   /// exclusive lock can release it before blocking on the disk in
   /// WaitDurable. Ticket 0 = already durable (in-memory database, empty

@@ -1,5 +1,6 @@
 #include "sqldb/storage.h"
 
+#include <algorithm>
 #include <chrono>
 #include <cstring>
 #include <filesystem>
@@ -59,76 +60,87 @@ std::vector<uint8_t> EncodeDelete(const Table& table, size_t row_id) {
   return std::move(w.bytes);
 }
 
-// ---- Paged checkpoint streams ----------------------------------------------
+// ---- Checkpoint streams ----------------------------------------------------
 
-// Writes a byte stream across kPageSize pages through the buffer pool, so
-// checkpointing exercises the same replacement/writeback machinery a paged
-// heap would.
-class PagedWriter {
+// Checkpoint I/O goes through one page-sized buffer: the writer hands the
+// file one WriteAt per full page (and one for the tail), so a crash tears
+// the image at page granularity, and neither side ever holds the whole
+// image in memory.
+constexpr size_t kPageSize = 8192;
+
+// Streams a checkpoint image to its file front to back.
+class CheckpointWriter {
  public:
-  explicit PagedWriter(BufferPool* pool) : pool_(pool) {}
+  explicit CheckpointWriter(FileBackend* file) : file_(file) {
+    page_.reserve(kPageSize);
+  }
 
-  Status Append(const uint8_t* data, size_t len) {
+  Status Append(const ByteWriter& w) {
+    const uint8_t* data = w.bytes.data();
+    size_t len = w.bytes.size();
     while (len > 0) {
-      P3PDB_ASSIGN_OR_RETURN(uint8_t* page, pool_->FetchPage(page_));
-      const size_t in_page = kPageSize - page_offset_;
-      const size_t n = len < in_page ? len : in_page;
-      std::memcpy(page + page_offset_, data, n);
-      pool_->UnpinPage(page_, /*dirty=*/true);
-      page_offset_ += n;
+      const size_t n = std::min(len, kPageSize - page_.size());
+      page_.insert(page_.end(), data, data + n);
       data += n;
       len -= n;
-      total_ += n;
-      if (page_offset_ == kPageSize) {
-        ++page_;
-        page_offset_ = 0;
-      }
+      if (page_.size() == kPageSize) P3PDB_RETURN_IF_ERROR(Flush());
     }
     return Status::OK();
   }
 
-  Status Append(const ByteWriter& w) {
-    return Append(w.bytes.data(), w.bytes.size());
-  }
+  /// Writes the partial last page, if any. The image ends exactly at
+  /// total_bytes(); nothing is padded.
+  Status Finish() { return page_.empty() ? Status::OK() : Flush(); }
 
-  uint64_t total_bytes() const { return total_; }
+  uint64_t total_bytes() const { return offset_ + page_.size(); }
 
  private:
-  BufferPool* pool_;
-  PageId page_ = 0;
-  size_t page_offset_ = 0;
-  uint64_t total_ = 0;
+  Status Flush() {
+    P3PDB_RETURN_IF_ERROR(file_->WriteAt(offset_, page_.data(), page_.size()));
+    offset_ += page_.size();
+    page_.clear();
+    return Status::OK();
+  }
+
+  FileBackend* file_;
+  std::vector<uint8_t> page_;
+  uint64_t offset_ = 0;  // file bytes written so far
 };
 
-// Pulls `len`-byte chunks of a checkpoint image back out through the pool.
-class PagedReader {
+// Reads the first `total_bytes` of a checkpoint image front to back. Bytes
+// past that length (stores written before this reader zero-padded the last
+// page) are never consumed.
+class CheckpointReader {
  public:
-  PagedReader(BufferPool* pool, uint64_t total_bytes)
-      : pool_(pool), remaining_(total_bytes) {}
+  CheckpointReader(FileBackend* file, uint64_t total_bytes)
+      : file_(file), remaining_(total_bytes), page_(kPageSize) {}
 
   Status Read(uint8_t* out, size_t len) {
     if (len > remaining_) {
       return Status::ParseError("checkpoint image: read past end");
     }
     while (len > 0) {
-      P3PDB_ASSIGN_OR_RETURN(uint8_t* page, pool_->FetchPage(page_));
-      const size_t in_page = kPageSize - page_offset_;
-      const size_t n = len < in_page ? len : in_page;
-      std::memcpy(out, page + page_offset_, n);
-      pool_->UnpinPage(page_, /*dirty=*/false);
-      page_offset_ += n;
+      if (page_pos_ == page_len_) P3PDB_RETURN_IF_ERROR(NextPage());
+      const size_t n = std::min(len, page_len_ - page_pos_);
+      std::memcpy(out, page_.data() + page_pos_, n);
+      page_pos_ += n;
       out += n;
       len -= n;
       remaining_ -= n;
-      if (page_offset_ == kPageSize) {
-        ++page_;
-        page_offset_ = 0;
-      }
     }
     return Status::OK();
   }
 
-  Result<std::vector<uint8_t>> ReadChunk(size_t len) {
+  /// Reads a u32 length prefix and that many bytes. The length comes off
+  /// disk, so it is checked against the image's remaining bytes before
+  /// anything is allocated for it.
+  Result<std::vector<uint8_t>> ReadChunk() {
+    P3PDB_ASSIGN_OR_RETURN(uint32_t len, ReadU32());
+    if (len > remaining_) {
+      return Status::ParseError("checkpoint image: chunk of " +
+                                std::to_string(len) + " bytes with " +
+                                std::to_string(remaining_) + " left");
+    }
     std::vector<uint8_t> buf(len);
     P3PDB_RETURN_IF_ERROR(Read(buf.data(), len));
     return buf;
@@ -147,10 +159,26 @@ class PagedReader {
   }
 
  private:
-  BufferPool* pool_;
-  PageId page_ = 0;
-  size_t page_offset_ = 0;
-  uint64_t remaining_;
+  Status NextPage() {
+    size_t got = 0;
+    P3PDB_RETURN_IF_ERROR(
+        file_->ReadAt(offset_, page_.data(), kPageSize, &got));
+    if (got == 0) {
+      return Status::ParseError("checkpoint image: file ends before " +
+                                std::to_string(remaining_) + " more bytes");
+    }
+    offset_ += got;
+    page_pos_ = 0;
+    page_len_ = got;
+    return Status::OK();
+  }
+
+  FileBackend* file_;
+  uint64_t remaining_;  // image bytes not yet returned by Read
+  std::vector<uint8_t> page_;
+  size_t page_pos_ = 0;
+  size_t page_len_ = 0;
+  uint64_t offset_ = 0;  // file offset of the next page
 };
 
 bool IsImplicitPkIndex(const Table& table, const Index& index) {
@@ -284,8 +312,7 @@ Status StorageEngine::LoadCheckpoint(Database* db) {
   P3PDB_ASSIGN_OR_RETURN(
       std::unique_ptr<FileBackend> file,
       OpenFile("checkpoint." + std::to_string(generation_) + ".db"));
-  BufferPool pool(file.get(), options_.buffer_pool_pages);
-  PagedReader reader(&pool, checkpoint_bytes_);
+  CheckpointReader reader(file.get(), checkpoint_bytes_);
 
   P3PDB_ASSIGN_OR_RETURN(uint32_t magic, reader.ReadU32());
   if (magic != kCheckpointMagic) {
@@ -295,9 +322,7 @@ Status StorageEngine::LoadCheckpoint(Database* db) {
   for (uint32_t t = 0; t < table_count; ++t) {
     // Each table section is a length-prefixed header blob (schema + index
     // defs) followed by length-prefixed slot blobs.
-    P3PDB_ASSIGN_OR_RETURN(uint32_t header_len, reader.ReadU32());
-    P3PDB_ASSIGN_OR_RETURN(std::vector<uint8_t> header,
-                           reader.ReadChunk(header_len));
+    P3PDB_ASSIGN_OR_RETURN(std::vector<uint8_t> header, reader.ReadChunk());
     ByteReader hr(header.data(), header.size());
     P3PDB_ASSIGN_OR_RETURN(TableSchema schema, hr.GetSchema());
     Table* table = db->RestoreTable(std::move(schema));
@@ -309,7 +334,6 @@ Status StorageEngine::LoadCheckpoint(Database* db) {
       P3PDB_ASSIGN_OR_RETURN(std::string index_name, hr.GetString());
       P3PDB_ASSIGN_OR_RETURN(uint32_t ncols, hr.GetU32());
       std::vector<std::string> cols;
-      cols.reserve(ncols);
       for (uint32_t c = 0; c < ncols; ++c) {
         P3PDB_ASSIGN_OR_RETURN(std::string col, hr.GetString());
         cols.push_back(std::move(col));
@@ -322,9 +346,7 @@ Status StorageEngine::LoadCheckpoint(Database* db) {
     }
     P3PDB_ASSIGN_OR_RETURN(uint64_t slot_count, reader.ReadU64());
     for (uint64_t s = 0; s < slot_count; ++s) {
-      P3PDB_ASSIGN_OR_RETURN(uint32_t slot_len, reader.ReadU32());
-      P3PDB_ASSIGN_OR_RETURN(std::vector<uint8_t> blob,
-                             reader.ReadChunk(slot_len));
+      P3PDB_ASSIGN_OR_RETURN(std::vector<uint8_t> blob, reader.ReadChunk());
       ByteReader sr(blob.data(), blob.size());
       P3PDB_ASSIGN_OR_RETURN(uint8_t live, sr.GetU8());
       if (live != 0) {
@@ -338,7 +360,6 @@ Status StorageEngine::LoadCheckpoint(Database* db) {
       }
     }
   }
-  AccumulatePoolStats(pool.stats());
   return Status::OK();
 }
 
@@ -363,7 +384,6 @@ Status StorageEngine::ApplyRecord(Database* db, const WalRecord& record) {
       P3PDB_ASSIGN_OR_RETURN(std::string index_name, r.GetString());
       P3PDB_ASSIGN_OR_RETURN(uint32_t ncols, r.GetU32());
       std::vector<std::string> cols;
-      cols.reserve(ncols);
       for (uint32_t i = 0; i < ncols; ++i) {
         P3PDB_ASSIGN_OR_RETURN(std::string col, r.GetString());
         cols.push_back(std::move(col));
@@ -527,51 +547,10 @@ Status StorageEngine::Begin() {
   return Status::OK();
 }
 
-Status StorageEngine::Commit() {
-  if (!explicit_txn_) {
-    return Status::Internal("COMMIT without an open transaction");
-  }
-  explicit_txn_ = false;
-  return CommitCurrentTxn();
-}
-
 Status StorageEngine::CommitIfImplicit() {
   if (explicit_txn_) return Status::OK();
-  return CommitCurrentTxn();
-}
-
-Status StorageEngine::CommitCurrentTxn() {
-  if (options_.group_commit) {
-    // Even a lone committer goes through the queue, so a commit racing a
-    // leader's in-flight fsync piggybacks on it instead of issuing its own.
-    P3PDB_ASSIGN_OR_RETURN(uint64_t ticket, StageCurrentTxn());
-    return WaitDurable(ticket);
-  }
-  P3PDB_RETURN_IF_ERROR(FirstError());
-  if (current_txn_id_ == 0 || pending_ops_ == 0) {
-    current_txn_id_ = 0;  // an empty transaction writes nothing
-    return Status::OK();
-  }
-  WalRecord commit;
-  commit.txn_id = current_txn_id_;
-  commit.type = WalRecordType::kCommit;
-  Status st = wal_writer_->Append(commit);
-  if (!st.ok()) {
-    RecordError(st);
-    return st;
-  }
-  if (options_.sync_on_commit) {
-    st = wal_writer_->Sync();
-    if (!st.ok()) {
-      RecordError(st);
-      return st;
-    }
-  }
-  ++stats_.wal_records;
-  ++stats_.wal_commits;
-  current_txn_id_ = 0;
-  pending_ops_ = 0;
-  return Status::OK();
+  P3PDB_ASSIGN_OR_RETURN(uint64_t ticket, StageCurrentTxn());
+  return WaitDurable(ticket);
 }
 
 Result<uint64_t> StorageEngine::StageCurrentTxn() {
@@ -635,7 +614,6 @@ Status StorageEngine::WaitDurable(uint64_t ticket) {
   Status st = writer->Sync();
   lock.lock();
   sync_in_progress_ = false;
-  group_syncs_.fetch_add(1, std::memory_order_relaxed);
   if (!st.ok()) {
     RecordError(st);
     gc_cv_.notify_all();
@@ -663,8 +641,7 @@ Status StorageEngine::Checkpoint(const Database& db) {
   P3PDB_ASSIGN_OR_RETURN(std::unique_ptr<FileBackend> ckpt_file,
                          OpenFile(ckpt_name));
   P3PDB_RETURN_IF_ERROR(ckpt_file->Truncate(0));  // a stale attempt may exist
-  BufferPool pool(ckpt_file.get(), options_.buffer_pool_pages);
-  PagedWriter writer(&pool);
+  CheckpointWriter writer(ckpt_file.get());
   {
     ByteWriter head;
     head.PutU32(kCheckpointMagic);
@@ -709,9 +686,8 @@ Status StorageEngine::Checkpoint(const Database& db) {
       P3PDB_RETURN_IF_ERROR(writer.Append(framed_slot));
     }
   }
-  P3PDB_RETURN_IF_ERROR(pool.FlushAll());
+  P3PDB_RETURN_IF_ERROR(writer.Finish());
   P3PDB_RETURN_IF_ERROR(ckpt_file->Sync());
-  AccumulatePoolStats(pool.stats());
 
   // 2. Create the empty next-generation WAL (truncating a stale attempt).
   P3PDB_ASSIGN_OR_RETURN(std::unique_ptr<FileBackend> new_wal,
@@ -773,21 +749,12 @@ Status StorageEngine::MaybeCheckpoint(const Database& db) {
   return Checkpoint(db);
 }
 
-void StorageEngine::AccumulatePoolStats(const BufferPool::Stats& s) {
-  stats_.pool.fetches += s.fetches;
-  stats_.pool.hits += s.hits;
-  stats_.pool.misses += s.misses;
-  stats_.pool.evictions += s.evictions;
-  stats_.pool.writebacks += s.writebacks;
-}
-
 StorageStats StorageEngine::stats() const {
   StorageStats s = stats_;
   if (wal_writer_ != nullptr) {
     s.wal_bytes += wal_writer_->bytes_written();
     s.wal_syncs += wal_writer_->syncs();
   }
-  s.wal_group_syncs = group_syncs_.load(std::memory_order_relaxed);
   return s;
 }
 

@@ -3,17 +3,19 @@
 // Layout of the storage directory (Options::path):
 //   meta                   two 64-byte slots, written alternately; the valid
 //                          slot with the highest generation is authoritative
-//   checkpoint.<gen>.db    paged image of the full catalog at generation
-//                          <gen> (absent while no checkpoint has been taken)
+//   checkpoint.<gen>.db    image of the full catalog at generation <gen>,
+//                          exactly meta's checkpoint_bytes long (absent while
+//                          no checkpoint has been taken)
 //   wal.<gen>.log          redo log of everything since checkpoint <gen>
 //
 // Runtime protocol: every table mutation appends a redo record to the WAL
 // (via Table::TableObserver, so programmatic inserts, SQL DML, and index
 // DDL all funnel through one hook); a commit record + fsync makes the
-// transaction durable. Statements outside an explicit transaction commit
-// implicitly. A checkpoint serializes the whole catalog — including
+// transaction durable. Every commit stages its record and then waits for a
+// group-commit fsync to cover it. Statements outside an explicit transaction
+// commit implicitly. A checkpoint streams the whole catalog — including
 // tombstoned slots, which is what keeps replayed row ids aligned with the
-// log — into checkpoint.<gen+1>.db through the buffer pool, creates an
+// log — into checkpoint.<gen+1>.db one 8 KiB page per write, creates an
 // empty wal.<gen+1>.log, and then flips the meta slot; a crash anywhere in
 // that sequence recovers from whichever (checkpoint, wal) pair the meta
 // slot still names. Reopen = load checkpoint + replay the committed prefix
@@ -27,7 +29,6 @@
 #ifndef P3PDB_SQLDB_STORAGE_H_
 #define P3PDB_SQLDB_STORAGE_H_
 
-#include <atomic>
 #include <condition_variable>
 #include <cstdint>
 #include <memory>
@@ -36,7 +37,6 @@
 #include <vector>
 
 #include "common/result.h"
-#include "sqldb/buffer_pool.h"
 #include "sqldb/file_backend.h"
 #include "sqldb/table.h"
 #include "sqldb/wal.h"
@@ -50,15 +50,10 @@ struct StorageStats {
   uint64_t wal_commits = 0;
   uint64_t wal_syncs = 0;
   uint64_t wal_bytes = 0;
-  /// fsyncs issued by group-commit leaders (each may cover many commits;
-  /// wal_commits - wal_group_syncs is the number of fsyncs amortized away
-  /// when every commit goes through the group path).
-  uint64_t wal_group_syncs = 0;
   uint64_t checkpoints = 0;
   uint64_t recovered_txns = 0;
   uint64_t recovered_records = 0;
   bool recovered_torn_tail = false;
-  BufferPool::Stats pool;
 };
 
 class StorageEngine : public TableObserver {
@@ -66,18 +61,11 @@ class StorageEngine : public TableObserver {
   struct Options {
     /// Directory holding meta/checkpoint/WAL files (created if absent).
     std::string path;
-    /// Buffer pool capacity (frames of kPageSize) for checkpoint I/O.
-    size_t buffer_pool_pages = 64;
     /// fsync the WAL on every commit. Off trades durability of the last
     /// few transactions for speed (bench use).
     bool sync_on_commit = true;
     /// Auto-checkpoint once this many WAL bytes accumulate; 0 disables.
     uint64_t checkpoint_wal_bytes = 4ull << 20;
-    /// Group commit: route commit fsyncs through a leader/follower queue so
-    /// concurrent committers share one fsync instead of paying one each.
-    /// Durability is unchanged — Commit (or WaitDurable on a staged ticket)
-    /// still returns only after the commit record is on disk.
-    bool group_commit = false;
     /// Extra microseconds a group-commit leader waits before fsyncing, to
     /// let more committers stage behind it. 0 adds no latency; coalescing
     /// then comes only from commits staged while a previous fsync runs.
@@ -113,20 +101,20 @@ class StorageEngine : public TableObserver {
   void LogDropTable(const std::string& name);
 
   /// Opens an explicit transaction: statement-level implicit commits are
-  /// suspended until Commit.
+  /// suspended until CommitStaged.
   Status Begin();
-  /// Commits the explicit transaction (appends the commit record, fsyncs).
-  Status Commit();
-  /// Statement-boundary hook: commits the implicit transaction unless an
-  /// explicit one is open. Empty transactions write nothing.
+  /// Statement-boundary hook: commits the implicit transaction (stage, then
+  /// WaitDurable) unless an explicit one is open. Empty transactions write
+  /// nothing.
   Status CommitIfImplicit();
 
-  /// Two-phase commit surface for callers that want to release their own
-  /// locks before blocking on the disk: CommitStaged appends the commit
-  /// record (no fsync) and returns a durability ticket; WaitDurable blocks
-  /// until that ticket's commit record is on disk, joining the group-commit
-  /// fsync queue. Ticket 0 means "already durable" (empty transaction, or
-  /// sync_on_commit off) — WaitDurable(0) returns immediately.
+  /// Commit is two-phase, so callers can release their own locks before
+  /// blocking on the disk: CommitStaged appends the explicit transaction's
+  /// commit record (no fsync) and returns a durability ticket; WaitDurable
+  /// blocks until that ticket's commit record is on disk, joining the
+  /// group-commit fsync queue, where concurrent committers share one fsync.
+  /// Ticket 0 means "already durable" (empty transaction, or sync_on_commit
+  /// off) — WaitDurable(0) returns immediately.
   ///
   /// Staging (like every append) must be serialized by the caller; WaitDurable
   /// is safe from any number of threads concurrently.
@@ -150,17 +138,15 @@ class StorageEngine : public TableObserver {
   Status ReadMeta();
   Status WriteMeta();
   Status EnsureTxn();
-  Status CommitCurrentTxn();
   /// Appends the commit record and issues a durability ticket (0 when there
-  /// is nothing to sync). Shared by CommitStaged and the group-commit path
-  /// of CommitCurrentTxn.
+  /// is nothing to sync). The one commit-record writer, shared by
+  /// CommitStaged and CommitIfImplicit.
   Result<uint64_t> StageCurrentTxn();
   Status FirstError() const;
   void RecordError(const Status& st);
   Status AppendRecord(WalRecordType type, std::vector<uint8_t> payload);
   Status ApplyRecord(Database* db, const WalRecord& record);
   Status LoadCheckpoint(Database* db);
-  void AccumulatePoolStats(const BufferPool::Stats& s);
 
   Options options_;
   std::unique_ptr<FileBackend> meta_file_;
@@ -191,7 +177,6 @@ class StorageEngine : public TableObserver {
   uint64_t commit_seq_ = 0;   // tickets issued
   uint64_t synced_seq_ = 0;   // tickets durable
   bool sync_in_progress_ = false;
-  std::atomic<uint64_t> group_syncs_{0};
 
   StorageStats stats_;
   uint64_t wal_bytes_since_checkpoint_ = 0;

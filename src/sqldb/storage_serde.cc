@@ -150,11 +150,12 @@ Result<Row> ByteReader::GetRow() {
   return row;
 }
 
+// Counts come off disk, so nothing is reserved from them: a corrupt count
+// fails at the first element the bytes cannot hold, not in the allocator.
 Result<TableSchema> ByteReader::GetSchema() {
   P3PDB_ASSIGN_OR_RETURN(std::string name, GetString());
   P3PDB_ASSIGN_OR_RETURN(uint32_t ncols, GetU32());
   std::vector<ColumnDef> columns;
-  columns.reserve(ncols);
   for (uint32_t i = 0; i < ncols; ++i) {
     ColumnDef col;
     P3PDB_ASSIGN_OR_RETURN(col.name, GetString());
@@ -167,7 +168,6 @@ Result<TableSchema> ByteReader::GetSchema() {
   TableSchema schema(std::move(name), std::move(columns));
   P3PDB_ASSIGN_OR_RETURN(uint32_t npk, GetU32());
   std::vector<std::string> pk;
-  pk.reserve(npk);
   for (uint32_t i = 0; i < npk; ++i) {
     P3PDB_ASSIGN_OR_RETURN(std::string col, GetString());
     pk.push_back(std::move(col));

@@ -1,6 +1,7 @@
 #include "xml/parser.h"
 
 #include <cstdio>
+#include <string>
 
 #include "common/string_util.h"
 
@@ -79,6 +80,11 @@ bool IsNameStartChar(char c) {
 bool IsNameChar(char c) {
   return IsNameStartChar(c) || IsAsciiDigit(c) || c == '-' || c == '.';
 }
+
+// Element nesting the parser accepts. ParseElement recurses once per level,
+// so without a bound a deeply nested document overflows the stack; P3P and
+// APPEL documents nest about 10 deep.
+constexpr int kMaxElementDepth = 256;
 
 class Parser {
  public:
@@ -168,6 +174,10 @@ class Parser {
 
   Result<std::unique_ptr<Element>> ParseElement() {
     if (!cur_.Consume('<')) return cur_.Error("expected '<'");
+    if (depth_ == kMaxElementDepth) {
+      return cur_.Error("elements nested deeper than " +
+                        std::to_string(kMaxElementDepth));
+    }
     P3PDB_ASSIGN_OR_RETURN(std::string name, ParseName());
     auto elem = std::make_unique<Element>(std::move(name));
 
@@ -231,7 +241,9 @@ class Parser {
         continue;
       }
       if (cur_.Peek() == '<') {
+        ++depth_;
         auto child = ParseElement();
+        --depth_;
         if (!child.ok()) return child.status();
         elem->AddChild(std::move(child).value());
         continue;
@@ -246,6 +258,7 @@ class Parser {
   }
 
   Cursor cur_;
+  int depth_ = 0;  // open elements enclosing the one being parsed
 };
 
 }  // namespace

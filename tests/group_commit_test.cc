@@ -33,7 +33,6 @@ Database::Options GroupCommitOptions(const std::string& dir,
                                      uint64_t window_us = 0) {
   Database::Options o;
   o.storage_path = dir;
-  o.storage_group_commit = true;
   o.storage_group_commit_window_us = window_us;
   return o;
 }
@@ -49,7 +48,7 @@ TEST(GroupCommitTest, OneSyncCoversAllStagedCommits) {
     ASSERT_TRUE(db.Execute("CREATE TABLE t (id INTEGER, PRIMARY KEY (id))")
                     .ok());
 
-    const uint64_t syncs_before = db.storage_stats().wal_group_syncs;
+    const uint64_t syncs_before = db.storage_stats().wal_syncs;
     std::vector<uint64_t> tickets;
     for (int i = 0; i < 8; ++i) {
       ASSERT_TRUE(db.BeginTransaction().ok());
@@ -62,12 +61,12 @@ TEST(GroupCommitTest, OneSyncCoversAllStagedCommits) {
     // Waiting on the newest ticket makes this thread the leader; its one
     // fsync covers all eight staged commit records.
     ASSERT_TRUE(db.WaitDurable(tickets.back()).ok());
-    EXPECT_EQ(db.storage_stats().wal_group_syncs, syncs_before + 1);
+    EXPECT_EQ(db.storage_stats().wal_syncs, syncs_before + 1);
     // The older tickets are already durable; waiting on them adds no sync.
     for (uint64_t ticket : tickets) {
       ASSERT_TRUE(db.WaitDurable(ticket).ok());
     }
-    EXPECT_EQ(db.storage_stats().wal_group_syncs, syncs_before + 1);
+    EXPECT_EQ(db.storage_stats().wal_syncs, syncs_before + 1);
   }
   Database reopened(GroupCommitOptions(dir));
   ASSERT_TRUE(reopened.storage_active());
@@ -139,8 +138,8 @@ TEST(GroupCommitTest, ConcurrentCommittersAreDurableAndCoalesce) {
   ASSERT_EQ(errors.load(), 0);
 
   const StorageStats stats = db.storage_stats();
-  EXPECT_GE(stats.wal_group_syncs, 1u);
-  EXPECT_LE(stats.wal_group_syncs, stats.wal_commits);
+  EXPECT_GE(stats.wal_syncs, 1u);
+  EXPECT_LE(stats.wal_syncs, stats.wal_commits);
   }
   Database reopened(GroupCommitOptions(dir));
   ASSERT_TRUE(reopened.storage_active());
@@ -166,11 +165,11 @@ TEST(GroupCommitTest, CheckpointSatisfiesStagedTickets) {
     ASSERT_TRUE(ticket.ok());
     ASSERT_GT(ticket.value(), 0u);
 
-    const uint64_t syncs_before = db.storage_stats().wal_group_syncs;
+    const uint64_t syncs_before = db.storage_stats().wal_syncs;
     ASSERT_TRUE(db.Checkpoint().ok());
     // The ticket was covered by the checkpoint; no leader sync needed.
     ASSERT_TRUE(db.WaitDurable(ticket.value()).ok());
-    EXPECT_EQ(db.storage_stats().wal_group_syncs, syncs_before);
+    EXPECT_EQ(db.storage_stats().wal_syncs, syncs_before);
   }
   Database reopened(GroupCommitOptions(dir));
   ASSERT_TRUE(reopened.storage_active());
@@ -180,8 +179,9 @@ TEST(GroupCommitTest, CheckpointSatisfiesStagedTickets) {
   std::filesystem::remove_all(dir);
 }
 
-// PolicyServer wiring: with storage_group_commit on, installs stay durable
-// across reopen and the p3p_storage_wal_group_syncs_total counter moves.
+// PolicyServer wiring: with storage_group_commit on (installs release the
+// lock before the fsync), installs stay durable across reopen and the
+// p3p_storage_wal_syncs_total counter moves.
 TEST(GroupCommitTest, PolicyServerInstallsAreDurableUnderGroupCommit) {
   const std::string dir = TestDir("server");
   workload::CorpusOptions corpus_options;
@@ -203,7 +203,7 @@ TEST(GroupCommitTest, PolicyServerInstallsAreDurableUnderGroupCommit) {
             ->InstallReferenceFile(workload::CorpusReferenceFile(corpus))
             .ok());
     EXPECT_GE(server.value()->MetricsSnapshot().counters.at(
-                  "p3p_storage_wal_group_syncs_total"),
+                  "p3p_storage_wal_syncs_total"),
               1u);
   }
   {

@@ -22,9 +22,11 @@
 //
 // Crash points sweep the whole write schedule (stride-sampled down to the
 // trial budget), so WAL appends, commit records, checkpoint page writes,
-// meta flips, and close-time checkpoints all get killed. Every failure
-// prints the (seed, crash-op, fraction) triple that reproduces it and
-// preserves the storage directory under recovery_failure/.
+// meta flips, and close-time checkpoints all get killed. The calibration
+// run tags every write op with the kind of file it hits (checkpoint, WAL,
+// meta), and the sweep must crash inside each kind at least once. Every
+// failure prints the (seed, crash-op, fraction) triple that reproduces it
+// and preserves the storage directory under recovery_failure/.
 //
 // Environment knobs:
 //   P3PDB_RECOVERY_SEED    workload seed (default 20260808)
@@ -38,6 +40,10 @@
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
+#include <fstream>
+#include <memory>
+#include <set>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -215,14 +221,48 @@ bool UnitVisible(PolicyServer* server, const Workload& w, int unit) {
 
 // ---------------------------------------------------------------- child --
 
+/// The kind of storage file a path names: 'c' checkpoint.*, 'w' wal.*,
+/// 'm' meta.
+char FileKind(const std::string& path) {
+  const std::string name = std::filesystem::path(path).filename().string();
+  if (name.starts_with("checkpoint.")) return 'c';
+  if (name.starts_with("wal.")) return 'w';
+  return 'm';
+}
+
+/// Records the file kind of every WriteAt, in op order, before passing it
+/// on. The child runs single-threaded, so the record lines up with the
+/// fault plan's op counter.
+class KindTaggingBackend : public sqldb::FileBackend {
+ public:
+  KindTaggingBackend(std::unique_ptr<sqldb::FileBackend> inner, char kind,
+                     std::shared_ptr<std::string> kinds)
+      : inner_(std::move(inner)), kind_(kind), kinds_(std::move(kinds)) {}
+
+  Status ReadAt(uint64_t offset, void* buf, size_t len,
+                size_t* bytes_read) override {
+    return inner_->ReadAt(offset, buf, len, bytes_read);
+  }
+  Status WriteAt(uint64_t offset, const void* buf, size_t len) override {
+    kinds_->push_back(kind_);
+    return inner_->WriteAt(offset, buf, len);
+  }
+  Status Sync() override { return inner_->Sync(); }
+  Status Truncate(uint64_t size) override { return inner_->Truncate(size); }
+  Result<uint64_t> Size() override { return inner_->Size(); }
+
+ private:
+  std::unique_ptr<sqldb::FileBackend> inner_;
+  char kind_;
+  std::shared_ptr<std::string> kinds_;
+};
+
 PolicyServer::Options ChildOptions(const std::string& dir) {
   PolicyServer::Options options;
   options.engine = EngineKind::kSql;
   options.storage_path = dir;
-  // Small pool and aggressive checkpointing so the write schedule covers
-  // checkpoint page writes, meta flips, and WAL switches — not just WAL
-  // appends.
-  options.storage_buffer_pool_pages = 8;
+  // Aggressive checkpointing so the write schedule covers checkpoint page
+  // writes, meta flips, and WAL switches — not just WAL appends.
   options.storage_checkpoint_wal_bytes = 16 << 10;
   return options;
 }
@@ -230,7 +270,9 @@ PolicyServer::Options ChildOptions(const std::string& dir) {
 /// Runs the workload in the (forked) child. Never returns: _exit(0) on
 /// clean completion, kCrashExitCode via the fault hook, kChildErrorExit on
 /// any unexpected error (reported through the progress file's .err side
-/// channel for the parent to print).
+/// channel for the parent to print). With `ops_out` set (the calibration
+/// run) it writes the total write-op count there and the file kind of
+/// every op, one character each, to `ops_out`.kinds.
 void RunChildWorkload(const std::string& dir, const std::string& progress,
                       uint64_t seed, uint64_t crash_at_op, double fraction,
                       const std::string& ops_out) {
@@ -248,6 +290,19 @@ void RunChildWorkload(const std::string& dir, const std::string& progress,
   plan->partial_fraction = fraction;
   PolicyServer::Options options = ChildOptions(dir);
   options.storage_backend_factory = sqldb::MakeFaultInjectingFactory(plan);
+  auto kinds = std::make_shared<std::string>();
+  if (!ops_out.empty()) {
+    options.storage_backend_factory =
+        [inner = options.storage_backend_factory,
+         kinds](const std::string& path)
+        -> Result<std::unique_ptr<sqldb::FileBackend>> {
+      P3PDB_ASSIGN_OR_RETURN(std::unique_ptr<sqldb::FileBackend> file,
+                             inner(path));
+      return std::unique_ptr<sqldb::FileBackend>(
+          std::make_unique<KindTaggingBackend>(std::move(file),
+                                               FileKind(path), kinds));
+    };
+  }
 
   Workload w = MakeWorkload(seed);
   std::FILE* log = std::fopen(progress.c_str(), "w");
@@ -276,6 +331,7 @@ void RunChildWorkload(const std::string& dir, const std::string& progress,
     std::fprintf(f, "%llu\n",
                  static_cast<unsigned long long>(plan->op_counter->load()));
     std::fclose(f);
+    std::ofstream(ops_out + ".kinds") << *kinds;
   }
   _exit(0);
 }
@@ -294,14 +350,11 @@ int CountProgressLines(const std::string& progress) {
   return lines;
 }
 
-std::string ReadSmallFile(const std::string& path) {
-  std::FILE* f = std::fopen(path.c_str(), "r");
-  if (f == nullptr) return "";
-  char buf[4096];
-  size_t n = std::fread(buf, 1, sizeof(buf) - 1, f);
-  std::fclose(f);
-  buf[n] = '\0';
-  return buf;
+std::string ReadWholeFile(const std::string& path) {
+  std::ifstream in(path);
+  std::ostringstream out;
+  out << in.rdbuf();
+  return out.str();
 }
 
 /// Heap/index consistency: every live row findable under every index key,
@@ -492,11 +545,13 @@ TEST_F(RecoveryKillTest, SurvivesKillsAcrossTheWholeWriteSchedule) {
   int exit_code = RunChild(calib_dir, calib_progress, seed,
                            /*crash_at_op=*/0, 0.0, ops_file);
   ASSERT_EQ(exit_code, 0) << "calibration child failed: "
-                          << ReadSmallFile(calib_progress + ".err");
+                          << ReadWholeFile(calib_progress + ".err");
   const uint64_t total_ops =
-      std::strtoull(ReadSmallFile(ops_file).c_str(), nullptr, 10);
+      std::strtoull(ReadWholeFile(ops_file).c_str(), nullptr, 10);
   ASSERT_GE(total_ops, 200u)
       << "workload too small to cover 200 crash points";
+  const std::string op_kinds = ReadWholeFile(ops_file + ".kinds");
+  ASSERT_EQ(op_kinds.size(), total_ops);
   ASSERT_EQ(CountProgressLines(calib_progress), kUnitCount);
   VerifyRecovered(calib_dir, w, kUnitCount, seed, "calibration");
   ASSERT_FALSE(HasFailure());
@@ -508,6 +563,7 @@ TEST_F(RecoveryKillTest, SurvivesKillsAcrossTheWholeWriteSchedule) {
   static const double kFractions[] = {0.0, 0.25, 0.5, 1.0};
   int trials = 0;
   int crashes = 0;
+  std::set<char> crashed_kinds;
   for (uint64_t op = 1; op <= total_ops; op += stride) {
     const double fraction = kFractions[(op / stride) % 4];
     const std::string dir = base_ + "/trial";
@@ -528,8 +584,9 @@ TEST_F(RecoveryKillTest, SurvivesKillsAcrossTheWholeWriteSchedule) {
     } else {
       ASSERT_EQ(exit_code, sqldb::kCrashExitCode)
           << ctx << ": child failed instead of crashing: "
-          << ReadSmallFile(progress + ".err");
+          << ReadWholeFile(progress + ".err");
       ++crashes;
+      crashed_kinds.insert(op_kinds[op - 1]);
       VerifyRecovered(dir, w, CountProgressLines(progress), seed, ctx);
     }
     if (HasFailure()) {
@@ -543,6 +600,11 @@ TEST_F(RecoveryKillTest, SurvivesKillsAcrossTheWholeWriteSchedule) {
   EXPECT_GE(trials, std::min<uint64_t>(trial_budget, total_ops));
   EXPECT_GE(crashes, trials * 3 / 4)
       << "most trials should die mid-write; the fault plan looks inert";
+  for (char kind : {'c', 'w', 'm'}) {
+    EXPECT_TRUE(crashed_kinds.count(kind))
+        << "no sampled crash landed in a '" << kind
+        << "' (checkpoint/wal/meta) write";
+  }
   std::filesystem::remove_all(base_);
 }
 

@@ -148,5 +148,28 @@ TEST_P(FuzzTest, ReferenceFileParserNeverCrashes) {
   }
 }
 
+std::string NestedElements(size_t depth) {
+  std::string doc;
+  doc.reserve(depth * 7);
+  for (size_t i = 0; i < depth; ++i) doc += "<a>";
+  for (size_t i = 0; i < depth; ++i) doc += "</a>";
+  return doc;
+}
+
+TEST(XmlDepthTest, DeepNestingIsAParseErrorNotAStackOverflow) {
+  auto deep = xml::Parse(NestedElements(100000));
+  ASSERT_FALSE(deep.ok());
+  EXPECT_EQ(deep.status().code(), StatusCode::kParseError);
+}
+
+TEST(XmlDepthTest, NestingBudgetIs256Elements) {
+  auto at_budget = xml::Parse(NestedElements(256));
+  ASSERT_TRUE(at_budget.ok()) << at_budget.status();
+  EXPECT_TRUE(xml::Parse(xml::Write(*at_budget.value().root)).ok());
+  auto past_budget = xml::Parse(NestedElements(257));
+  ASSERT_FALSE(past_budget.ok());
+  EXPECT_EQ(past_budget.status().code(), StatusCode::kParseError);
+}
+
 }  // namespace
 }  // namespace p3pdb

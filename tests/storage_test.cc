@@ -1,17 +1,18 @@
 // Unit tests for the disk-backed storage engine's layers: serde encoding,
-// WAL framing and torn-tail scanning, buffer-pool replacement (LRU-K, pin
-// counts, writeback), the fault-injecting file backend, Database
-// close/reopen/checkpoint durability, and PolicyServer catalog recovery.
+// WAL framing and torn-tail scanning, the fault-injecting file backend,
+// Database close/reopen/checkpoint durability, the checkpoint image's size
+// and its reader's handling of padded or corrupt images, and PolicyServer
+// catalog recovery.
 
 #include <gtest/gtest.h>
 
 #include <cstring>
 #include <filesystem>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "server/policy_server.h"
-#include "sqldb/buffer_pool.h"
 #include "sqldb/database.h"
 #include "sqldb/file_backend.h"
 #include "sqldb/storage_serde.h"
@@ -183,91 +184,6 @@ TEST(Wal, CorruptChecksumStopsScan) {
   ASSERT_EQ(scan.value().records.size(), 1u);
 }
 
-// ---------------------------------------------------------- buffer pool --
-
-TEST(BufferPoolTest, HitsMissesAndWriteback) {
-  const std::string dir = TestDir("pool_basic");
-  std::filesystem::create_directories(dir);
-  auto file = OpenPosixFile(dir + "/data.db");
-  ASSERT_TRUE(file.ok());
-
-  BufferPool pool(file.value().get(), /*frame_count=*/4);
-  auto page = pool.FetchPage(3);
-  ASSERT_TRUE(page.ok());
-  std::memcpy(page.value(), "paged bytes", 11);
-  pool.UnpinPage(3, /*dirty=*/true);
-  EXPECT_EQ(pool.stats().misses, 1u);
-
-  // Same page again: a hit, served from the frame.
-  auto again = pool.FetchPage(3);
-  ASSERT_TRUE(again.ok());
-  EXPECT_EQ(std::memcmp(again.value(), "paged bytes", 11), 0);
-  pool.UnpinPage(3, false);
-  EXPECT_EQ(pool.stats().hits, 1u);
-
-  // FlushAll persists the dirty frame; a direct file read sees the bytes at
-  // the page's offset.
-  ASSERT_TRUE(pool.FlushAll().ok());
-  char buf[12] = {0};
-  size_t n = 0;
-  ASSERT_TRUE(
-      file.value()->ReadAt(3 * kPageSize, buf, 11, &n).ok());
-  ASSERT_EQ(n, 11u);
-  EXPECT_EQ(std::memcmp(buf, "paged bytes", 11), 0);
-  EXPECT_GE(pool.stats().writebacks, 1u);
-}
-
-TEST(BufferPoolTest, PinnedFramesAreNeverEvicted) {
-  const std::string dir = TestDir("pool_pins");
-  std::filesystem::create_directories(dir);
-  auto file = OpenPosixFile(dir + "/data.db");
-  ASSERT_TRUE(file.ok());
-
-  BufferPool pool(file.value().get(), /*frame_count=*/2);
-  auto a = pool.FetchPage(0);
-  auto b = pool.FetchPage(1);
-  ASSERT_TRUE(a.ok());
-  ASSERT_TRUE(b.ok());
-  // Every frame pinned: a third fetch must fail rather than evict.
-  EXPECT_FALSE(pool.FetchPage(2).ok());
-  pool.UnpinPage(1, false);
-  auto c = pool.FetchPage(2);
-  EXPECT_TRUE(c.ok());
-  EXPECT_EQ(pool.stats().evictions, 1u);
-  pool.UnpinPage(0, false);
-  pool.UnpinPage(2, false);
-}
-
-TEST(BufferPoolTest, LruKPrefersSingleUsePagesAsVictims) {
-  const std::string dir = TestDir("pool_lruk");
-  std::filesystem::create_directories(dir);
-  auto file = OpenPosixFile(dir + "/data.db");
-  ASSERT_TRUE(file.ok());
-
-  BufferPool pool(file.value().get(), /*frame_count=*/3, /*k=*/2);
-  auto touch = [&](PageId id) {
-    auto page = pool.FetchPage(id);
-    ASSERT_TRUE(page.ok());
-    pool.UnpinPage(id, false);
-  };
-  // Page 0 is hot (two accesses -> finite k-distance); 1 and 2 are
-  // scan-like single-access pages.
-  touch(0);
-  touch(0);
-  touch(1);
-  touch(2);
-  // A new page must evict one of the single-use pages, not the hot one,
-  // even though page 0's first access is the oldest (plain LRU would evict
-  // it).
-  touch(3);
-  auto hot = pool.FetchPage(0);
-  ASSERT_TRUE(hot.ok());
-  pool.UnpinPage(0, false);
-  const auto& stats = pool.stats();
-  // Refetching page 0 was a hit: it was still resident.
-  EXPECT_EQ(stats.hits, 2u);  // second touch(0) + the refetch
-}
-
 // -------------------------------------------------------- fault backend --
 
 TEST(FaultBackend, CrashesAtTheConfiguredOpWithPartialWrite) {
@@ -408,6 +324,109 @@ TEST(DatabaseStorage, SecondaryIndexesAreRebuiltConsistently) {
     ASSERT_NE(table, nullptr);
     ASSERT_EQ(table->indexes().size(), 2u);  // pk + idx_t_g
   }
+}
+
+// ----------------------------------------------------- checkpoint image --
+
+constexpr uint64_t kPage = 8192;
+
+// The live checkpoint's (generation, byte length) from the meta file: the
+// slot (two 64-byte slots) with the highest generation and the right magic.
+std::pair<uint64_t, uint64_t> LiveCheckpoint(const std::string& dir) {
+  auto meta = OpenPosixFile(dir + "/meta");
+  EXPECT_TRUE(meta.ok());
+  uint8_t slots[128] = {0};
+  size_t got = 0;
+  EXPECT_TRUE(meta.value()->ReadAt(0, slots, sizeof(slots), &got).ok());
+  std::pair<uint64_t, uint64_t> best{0, 0};
+  for (int slot = 0; slot < 2; ++slot) {
+    ByteReader r(slots + slot * 64, 64);
+    if (r.GetU32().value() != 0x50334442) continue;  // "P3DB"
+    (void)r.GetU32();                                // version
+    const uint64_t gen = r.GetU64().value();
+    const uint64_t bytes = r.GetU64().value();
+    if (gen > best.first) best = {gen, bytes};
+  }
+  return best;
+}
+
+std::string CheckpointFile(const std::string& dir) {
+  return dir + "/checkpoint." + std::to_string(LiveCheckpoint(dir).first) +
+         ".db";
+}
+
+// Builds a store whose state lives entirely in its checkpoint image (the
+// close-time checkpoint leaves an empty WAL) and returns the table dump.
+std::string WriteCheckpointedStore(const std::string& dir) {
+  Database db(Database::Options{.storage_path = dir});
+  EXPECT_TRUE(db.storage_status().ok());
+  EXPECT_TRUE(db.ExecuteScript("CREATE TABLE t (k INTEGER, v VARCHAR(40), "
+                               "PRIMARY KEY (k));"
+                               "CREATE INDEX idx_t_v ON t (v);")
+                  .ok());
+  EXPECT_TRUE(db.BeginTransaction().ok());
+  for (int i = 0; i < 700; ++i) {
+    EXPECT_TRUE(db.Execute("INSERT INTO t VALUES (" + std::to_string(i) +
+                           ", 'value-" + std::to_string(i * 7919 % 1000) +
+                           "')")
+                    .ok());
+  }
+  EXPECT_TRUE(db.Execute("DELETE FROM t WHERE k >= 300 AND k < 350").ok());
+  EXPECT_TRUE(db.CommitTransaction().ok());
+  auto dump = db.Execute("SELECT k, v FROM t ORDER BY k");
+  EXPECT_TRUE(dump.ok());
+  return dump.ok() ? dump.value().ToString() : "";
+}
+
+TEST(CheckpointImage, FileIsExactlyCheckpointBytesLong) {
+  const std::string dir = TestDir("ckpt_exact");
+  WriteCheckpointedStore(dir);
+  const auto [gen, bytes] = LiveCheckpoint(dir);
+  ASSERT_GT(gen, 1u);
+  ASSERT_GT(bytes, 2 * kPage);  // spans several pages
+  EXPECT_EQ(std::filesystem::file_size(CheckpointFile(dir)), bytes);
+}
+
+// Older stores zero-padded the checkpoint image's last page. The reader
+// stops at checkpoint_bytes, so they still open.
+TEST(CheckpointImage, ZeroPaddedImageStillOpens) {
+  const std::string dir = TestDir("ckpt_padded");
+  const std::string before = WriteCheckpointedStore(dir);
+  const std::string image = CheckpointFile(dir);
+  const uint64_t bytes = std::filesystem::file_size(image);
+  ASSERT_NE(bytes % kPage, 0u);
+  std::filesystem::resize_file(image, (bytes / kPage + 1) * kPage);
+
+  Database db(Database::Options{.storage_path = dir,
+                                .storage_checkpoint_on_close = false});
+  ASSERT_TRUE(db.storage_status().ok()) << db.storage_status();
+  EXPECT_EQ(db.storage_stats().recovered_records, 0u);
+  auto after = db.Execute("SELECT k, v FROM t ORDER BY k");
+  ASSERT_TRUE(after.ok());
+  EXPECT_EQ(after.value().ToString(), before);
+  auto indexed = db.Execute("SELECT k FROM t WHERE v = 'value-919'");
+  ASSERT_TRUE(indexed.ok());
+  ASSERT_EQ(indexed.value().rows.size(), 1u);
+  EXPECT_EQ(indexed.value().rows[0][0].AsInteger(), 1);
+}
+
+// Length prefixes come off disk: a corrupt one must fail the open with a
+// Status before anything is allocated for it.
+TEST(CheckpointImage, CorruptTableHeaderLengthFailsOpen) {
+  const std::string dir = TestDir("ckpt_corrupt");
+  WriteCheckpointedStore(dir);
+  {
+    auto file = OpenPosixFile(CheckpointFile(dir));
+    ASSERT_TRUE(file.ok());
+    // Image layout: magic u32, table count u32, then the first table's
+    // header_len u32 at offset 8.
+    const uint8_t huge[4] = {0xF0, 0xFF, 0xFF, 0xFF};
+    ASSERT_TRUE(file.value()->WriteAt(8, huge, sizeof(huge)).ok());
+  }
+  Database db(Database::Options{.storage_path = dir,
+                                .storage_checkpoint_on_close = false});
+  EXPECT_FALSE(db.storage_status().ok());
+  EXPECT_FALSE(db.storage_active());
 }
 
 // --------------------------------------------------- server recovery ----
