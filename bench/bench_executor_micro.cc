@@ -1,10 +1,9 @@
 // Executor microbenchmarks: the vectorized batch executor against the
 // scalar row-at-a-time path on the three shapes the match path exercises —
 // a filtered sequential scan, a kernel-heavy predicate (LIKE / IN / OR),
-// and batched hash semi-join probes — plus a chunk-size sweep over the
-// filtered scan. Each workload runs twice against identically loaded
-// databases (vectorized on / off), so the printed speedup isolates the
-// executor change from everything else.
+// and batched hash semi-join probes. Each workload runs twice against
+// identically loaded databases (vectorized on / off), so the printed
+// speedup isolates the chunked filter from everything else.
 //
 // `--json <path>` writes one record per run. Samples are per-query
 // microseconds (so p50/p99 describe query latency); `matches_per_sec`
@@ -31,13 +30,10 @@ constexpr int kRepetitions = 20;
 
 /// Builds the workload tables: `events` (the scanned fact table) and
 /// `outer_t` (the probe side of the semi-join bench).
-std::unique_ptr<sqldb::Database> MakeDatabase(bool vectorized,
-                                              uint32_t chunk_size) {
+std::unique_ptr<sqldb::Database> MakeDatabase(bool vectorized) {
   sqldb::Database::Options options;
   options.enable_planner = true;
-  options.enable_plan_cache = true;
   options.enable_vectorized_executor = vectorized;
-  options.vector_chunk_size = chunk_size;
   auto db = std::make_unique<sqldb::Database>(options);
 
   auto check = [](const Status& st) {
@@ -156,8 +152,8 @@ int Main(int argc, char** argv) {
   PrintTableRule(widths);
 
   for (const Workload& w : workloads) {
-    auto vec_db = MakeDatabase(/*vectorized=*/true, /*chunk_size=*/1024);
-    auto scalar_db = MakeDatabase(/*vectorized=*/false, /*chunk_size=*/1024);
+    auto vec_db = MakeDatabase(/*vectorized=*/true);
+    auto scalar_db = MakeDatabase(/*vectorized=*/false);
     MicroResult vec = RunQuery(vec_db.get(), w.sql, w.rows_per_query);
     MicroResult scalar = RunQuery(scalar_db.get(), w.sql, w.rows_per_query);
     PrintTableRow({w.name, FormatRowsPerSec(vec.rows_per_sec),
@@ -175,21 +171,6 @@ int Main(int argc, char** argv) {
                              scalar));
   }
   PrintTableRule(widths);
-
-  // Chunk-size sweep over the filtered scan: 1 approximates the scalar
-  // path's per-row regime (kernel dispatch per row), the upper sizes show
-  // where the gather/kernel costs amortize flat.
-  std::printf("\nChunk-size sweep (scan_filter):\n");
-  for (uint32_t chunk : {1u, 64u, 256u, 1024u, 4096u}) {
-    auto db = MakeDatabase(/*vectorized=*/true, chunk);
-    MicroResult r = RunQuery(db.get(), workloads[0].sql,
-                             workloads[0].rows_per_query);
-    std::printf("  chunk %4u: %s (%.1fus/query)\n", chunk,
-                FormatRowsPerSec(r.rows_per_sec).c_str(),
-                r.timings.Average());
-    records.push_back(
-        Record("micro/scan_filter_chunk" + std::to_string(chunk), r));
-  }
 
   if (!json_path.empty()) {
     auto written = WriteBenchJson(json_path, records);

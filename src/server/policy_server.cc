@@ -104,7 +104,6 @@ PolicyServer::PolicyServer(Options options)
           .max_subquery_depth = options.max_subquery_depth,
           .enforce_foreign_keys = true,
           .enable_planner = options.enable_planner,
-          .enable_plan_cache = options.enable_planner,
           .enable_cost_model = options.enable_cost_model,
           .enable_vectorized_executor = options.enable_vectorized_executor,
           .enable_statement_stats = options.enable_statement_stats,

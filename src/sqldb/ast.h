@@ -285,13 +285,13 @@ struct SelectItem {
   std::string alias;     // optional `AS alias`
 };
 
-/// Planner output (AnnotateSelect): the resolved access path for one FROM
-/// slot, computed once at plan time so the executor does not re-derive it on
-/// every scan. `index` is stable across CREATE INDEX (tables hold indexes by
-/// unique_ptr) and `key_exprs` are aligned with `index->column_ordinals()`.
-/// `vector_filter` marks the slot whose WHERE filtering the vectorized
-/// executor may run in columnar chunks (the innermost slot; outer slots must
-/// stay row-at-a-time so EXISTS early-out scans no extra rows).
+/// Planner output (AnnotateSelect): the access path for one FROM slot,
+/// chosen once at plan time; the executor and EXPLAIN only read it. `index`
+/// is stable across CREATE INDEX (tables hold indexes by unique_ptr) and
+/// `key_exprs` are aligned with `index->column_ordinals()`. `vector_filter`
+/// marks the slot whose WHERE filtering the executor may run in chunks when
+/// vectorization is on (the innermost slot; outer slots must stay
+/// row-at-a-time so EXISTS early-out scans no extra rows).
 struct SlotPlan {
   const Index* index = nullptr;          // null = sequential scan
   std::vector<const Expr*> key_exprs;    // probe keys, index column order
@@ -326,19 +326,18 @@ struct SelectStmt : Statement {
   /// exactly this many values.
   size_t param_count = 0;
 
-  /// Per-FROM-slot access paths, filled by AnnotateSelect when the
-  /// vectorized executor is enabled. Empty = not annotated (the executor
-  /// derives access paths per scan as before).
+  /// Per-FROM-slot access paths, one per FROM entry, filled by
+  /// AnnotateSelect on every bound statement the executor runs (SELECTs
+  /// prepared by Database::BindAndPlan and the DML WHERE probes).
   std::vector<SlotPlan> slot_plans;
 
   /// Bind-time execution hints (PrecomputeExecHints, called from
-  /// Database::BindAndPlan): the rendered result column headers (shared
-  /// with every QueryResult this statement produces) and whether the
-  /// statement aggregates. Statements bound outside BindAndPlan (the DML
-  /// helpers' single-table shells) leave `aggregate_mode` at -1 and the
-  /// executor derives both per query, as it always did.
+  /// Database::BindAndPlan on every SELECT it prepares): the rendered
+  /// result column headers (shared with every QueryResult this statement
+  /// produces) and whether the statement aggregates. Executor::RunSelect
+  /// reads both; the DML WHERE probes never run through it.
   std::shared_ptr<const std::vector<std::string>> column_headers;
-  int8_t aggregate_mode = -1;  // -1 unknown, 0 plain, 1 aggregate
+  bool aggregate_mode = false;
 
   /// Statement-telemetry entry for this statement's shape, stamped at
   /// prepare time by Database::BindAndPlan when statement stats are

@@ -35,6 +35,9 @@ std::shared_ptr<const SelectStmt> ShareSelect(std::unique_ptr<Statement> stmt,
       std::shared_ptr<Statement>(std::move(stmt)), select);
 }
 
+/// Bounded LRU capacity of the plan cache.
+constexpr size_t kPlanCacheCapacity = 256;
+
 /// Single-writer increment on a stats-shard counter (see LocalStats).
 void BumpRelaxed(std::atomic<uint64_t>& c) {
   c.store(c.load(std::memory_order_relaxed) + 1, std::memory_order_relaxed);
@@ -233,12 +236,8 @@ Status Database::BindAndPlan(SelectStmt* select, std::string_view sql) {
     local.anti_join_rewrites = planner_stats.anti_join_rewrites;
   }
   // Annotation must follow planning: the rewrite replaces EXISTS subtrees
-  // with hash joins, and the slot plans point into the final tree. The
-  // cost model needs the slot plans too (est rows, index-vs-seq override),
-  // so annotation also runs — scalar-path or not — whenever stats are on.
-  if (options_.enable_vectorized_executor || catalog != nullptr) {
-    AnnotateSelect(select, catalog, &planner_stats);
-  }
+  // with hash joins, and the slot plans point into the final tree.
+  AnnotateSelect(select, catalog, &planner_stats);
   local.cost_exists_kept = planner_stats.cost_exists_kept;
   local.cost_join_reorders = planner_stats.cost_join_reorders;
   local.cost_seq_forced = planner_stats.cost_seq_forced;
@@ -268,8 +267,7 @@ Result<QueryResult> Database::RunBoundSelect(const SelectStmt& select,
   Stopwatch timer;
   ExecStats local;
   Executor executor(&local, params, nullptr,
-                    ExecConfig{options_.enable_vectorized_executor,
-                               options_.vector_chunk_size});
+                    ExecConfig{options_.enable_vectorized_executor});
   auto result = executor.RunSelect(select);
   LocalStats().MergeSingleWriter(local);
   if (entry != nullptr) {
@@ -323,8 +321,7 @@ void Database::MaybeCaptureStatement(const SelectStmt& select,
   PlanProfile profile;
   ExecStats scratch;
   Executor executor(&scratch, params, &profile,
-                    ExecConfig{options_.enable_vectorized_executor,
-                               options_.vector_chunk_size});
+                    ExecConfig{options_.enable_vectorized_executor});
   if (executor.RunSelect(select).ok()) {
     ExplainOptions explain_options;
     explain_options.params = params;
@@ -336,7 +333,7 @@ void Database::MaybeCaptureStatement(const SelectStmt& select,
 
 std::shared_ptr<const SelectStmt> Database::LookupCachedPlan(
     std::string_view sql) {
-  if (!options_.enable_plan_cache) return nullptr;
+  if (!options_.enable_planner) return nullptr;
   std::lock_guard<std::mutex> lock(plan_mu_);
   auto it = plan_index_.find(sql);
   if (it == plan_index_.end()) return nullptr;
@@ -366,7 +363,7 @@ std::shared_ptr<const SelectStmt> Database::LookupCachedPlan(
 
 void Database::StoreCachedPlan(std::string_view sql,
                                std::shared_ptr<const SelectStmt> plan) {
-  if (!options_.enable_plan_cache || options_.plan_cache_capacity == 0) return;
+  if (!options_.enable_planner) return;
   std::lock_guard<std::mutex> lock(plan_mu_);
   if (plan_index_.find(sql) != plan_index_.end()) return;  // concurrent store
   plan_lru_.emplace_front(
@@ -374,7 +371,7 @@ void Database::StoreCachedPlan(std::string_view sql,
       CachedPlan{std::move(plan), catalog_generation_,
                  options_.enable_cost_model ? stats_catalog_.epoch() : 0});
   plan_index_.emplace(plan_lru_.front().first, plan_lru_.begin());
-  if (plan_lru_.size() > options_.plan_cache_capacity) {
+  if (plan_lru_.size() > kPlanCacheCapacity) {
     plan_index_.erase(plan_lru_.back().first);
     plan_lru_.pop_back();
   }
@@ -506,8 +503,7 @@ Result<QueryResult> Database::ExecuteParsed(Statement* stmt,
       if (explain->analyze) {
         ExecStats local;
         Executor executor(&local, params, &profile,
-                          ExecConfig{options_.enable_vectorized_executor,
-                                     options_.vector_chunk_size});
+                          ExecConfig{options_.enable_vectorized_executor});
         P3PDB_RETURN_IF_ERROR(executor.RunSelect(*select).status());
         LocalStats().MergeSingleWriter(local);
         explain_options.profile = &profile;
@@ -747,6 +743,56 @@ Result<QueryResult> Database::ExecuteInsert(InsertStmt* stmt) {
   return result;
 }
 
+Result<std::vector<Database::DmlVictim>> Database::FindDmlVictims(
+    const Table& table, const std::string& table_name, ExprPtr* where,
+    const std::vector<ExprPtr*>& values, ExecStats* stats) {
+  SelectStmt probe;
+  TableRef ref;
+  ref.table_name = table_name;
+  ref.alias = table_name;
+  probe.from.push_back(std::move(ref));
+  for (ExprPtr* value : values) {
+    SelectItem item;
+    item.expr = std::move(*value);
+    probe.items.push_back(std::move(item));
+  }
+  probe.where = std::move(*where);
+
+  std::vector<DmlVictim> victims;
+  auto collect = [&]() -> Status {
+    Binder binder(*this, options_.max_subquery_depth);
+    P3PDB_RETURN_IF_ERROR(binder.BindSelect(&probe));
+    // An EXISTS in the WHERE scans through the executor, which reads the
+    // planned access paths like any SELECT's.
+    AnnotateSelect(&probe,
+                   options_.enable_cost_model ? &stats_catalog_ : nullptr);
+    Executor executor(stats, nullptr, nullptr,
+                      ExecConfig{options_.enable_vectorized_executor});
+    for (size_t row_id = 0; row_id < table.SlotCount(); ++row_id) {
+      if (!table.IsLive(row_id)) continue;
+      const Row& row = table.RowAt(row_id);
+      P3PDB_ASSIGN_OR_RETURN(bool pass, executor.EvalRowPredicate(probe, row));
+      if (!pass) continue;
+      DmlVictim victim{row_id, {}};
+      for (const SelectItem& item : probe.items) {
+        P3PDB_ASSIGN_OR_RETURN(Value v,
+                               executor.EvalRowExpression(probe, row,
+                                                          *item.expr));
+        victim.values.push_back(std::move(v));
+      }
+      victims.push_back(std::move(victim));
+    }
+    return Status::OK();
+  };
+  Status st = collect();
+  for (size_t i = 0; i < values.size(); ++i) {
+    *values[i] = std::move(probe.items[i].expr);
+  }
+  *where = std::move(probe.where);
+  P3PDB_RETURN_IF_ERROR(st);
+  return victims;
+}
+
 Result<QueryResult> Database::ExecuteUpdate(UpdateStmt* stmt) {
   if (!storage_status_.ok()) return storage_status_;
   Table* table = GetMutableTable(stmt->table_name);
@@ -766,70 +812,29 @@ Result<QueryResult> Database::ExecuteUpdate(UpdateStmt* stmt) {
     ordinals.push_back(*ord);
   }
 
-  // Bind WHERE and the assignment expressions through a probe SELECT whose
-  // select list carries the assignment values.
-  SelectStmt probe;
-  TableRef ref;
-  ref.table_name = stmt->table_name;
-  ref.alias = stmt->table_name;
-  probe.from.push_back(std::move(ref));
+  // Snapshot pass: every victim's new values come from its old row before
+  // anything is mutated.
+  std::vector<ExprPtr*> values;
   for (UpdateStmt::Assignment& a : stmt->assignments) {
-    SelectItem item;
-    item.expr = std::move(a.value);
-    probe.items.push_back(std::move(item));
+    values.push_back(&a.value);
   }
-  probe.where = std::move(stmt->where);
-
-  // Whatever happens, restore the statement for potential re-execution.
-  auto restore = [&]() {
-    for (size_t i = 0; i < stmt->assignments.size(); ++i) {
-      stmt->assignments[i].value = std::move(probe.items[i].expr);
-    }
-    stmt->where = std::move(probe.where);
-  };
-
-  Binder binder(*this, options_.max_subquery_depth);
-  if (Status st = binder.BindSelect(&probe); !st.ok()) {
-    restore();
-    return st;
-  }
-
-  // Snapshot pass: compute every victim's new row from its old values
-  // before mutating anything.
   ExecStats local;
-  Executor executor(&local);
-  std::vector<std::pair<size_t, Row>> updates;
-  for (size_t row_id = 0; row_id < table->SlotCount(); ++row_id) {
-    if (!table->IsLive(row_id)) continue;
-    const Row& old_row = table->RowAt(row_id);
-    auto pass = executor.EvalRowPredicate(probe, old_row);
-    if (!pass.ok()) {
-      restore();
-      return pass.status();
-    }
-    if (!pass.value()) continue;
-    Row new_row = old_row;
-    for (size_t i = 0; i < ordinals.size(); ++i) {
-      auto value =
-          executor.EvalRowExpression(probe, old_row, *probe.items[i].expr);
-      if (!value.ok()) {
-        restore();
-        return value.status();
-      }
-      new_row[ordinals[i]] = std::move(value).value();
-    }
-    updates.emplace_back(row_id, std::move(new_row));
-  }
-  restore();
+  P3PDB_ASSIGN_OR_RETURN(
+      std::vector<DmlVictim> victims,
+      FindDmlVictims(*table, stmt->table_name, &stmt->where, values, &local));
 
   // Apply. Not transactional: a constraint violation mid-way leaves earlier
   // updates in place (as in many engines without ROLLBACK).
-  for (auto& [row_id, new_row] : updates) {
+  for (DmlVictim& victim : victims) {
+    Row old_row = table->RowAt(victim.row_id);
+    Row new_row = old_row;
+    for (size_t i = 0; i < ordinals.size(); ++i) {
+      new_row[ordinals[i]] = std::move(victim.values[i]);
+    }
     if (options_.enforce_foreign_keys) {
       P3PDB_RETURN_IF_ERROR(CheckForeignKeys(*table, new_row));
     }
-    Row old_row = table->RowAt(row_id);
-    table->Delete(row_id);
+    table->Delete(victim.row_id);
     Status st = table->Insert(std::move(new_row));
     if (!st.ok()) {
       // Try to put the old row back so a unique violation does not lose it.
@@ -840,7 +845,7 @@ Result<QueryResult> Database::ExecuteUpdate(UpdateStmt* stmt) {
   ++local.statements_executed;
   LocalStats().MergeSingleWriter(local);
   QueryResult result;
-  result.rows_affected = static_cast<int64_t>(updates.size());
+  result.rows_affected = static_cast<int64_t>(victims.size());
   return result;
 }
 
@@ -852,48 +857,12 @@ Result<QueryResult> Database::ExecuteDelete(DeleteStmt* stmt) {
                             "' does not exist");
   }
 
-  // Reuse the SELECT machinery: wrap the WHERE in a single-table SELECT to
-  // bind it, then evaluate per row.
   ExecStats local;
-  std::vector<size_t> victims;
-  if (stmt->where == nullptr) {
-    for (size_t row_id = 0; row_id < table->SlotCount(); ++row_id) {
-      if (table->IsLive(row_id)) victims.push_back(row_id);
-    }
-  } else {
-    SelectStmt probe;
-    TableRef ref;
-    ref.table_name = stmt->table_name;
-    ref.alias = stmt->table_name;
-    probe.from.push_back(std::move(ref));
-    SelectItem star;
-    star.is_star = true;
-    probe.items.push_back(std::move(star));
-    probe.where = std::move(stmt->where);
+  P3PDB_ASSIGN_OR_RETURN(
+      std::vector<DmlVictim> victims,
+      FindDmlVictims(*table, stmt->table_name, &stmt->where, {}, &local));
 
-    Binder binder(*this, options_.max_subquery_depth);
-    Status bind_status = binder.BindSelect(&probe);
-    if (!bind_status.ok()) {
-      stmt->where = std::move(probe.where);
-      return bind_status;
-    }
-
-    // Enumerate matching rows by id (a bespoke loop rather than RunSelect so
-    // the victim row ids are known).
-    Executor executor(&local);
-    for (size_t row_id = 0; row_id < table->SlotCount(); ++row_id) {
-      if (!table->IsLive(row_id)) continue;
-      auto pass = executor.EvalRowPredicate(probe, table->RowAt(row_id));
-      if (!pass.ok()) {
-        stmt->where = std::move(probe.where);
-        return pass.status();
-      }
-      if (pass.value()) victims.push_back(row_id);
-    }
-    stmt->where = std::move(probe.where);  // restore for re-execution
-  }
-
-  for (size_t row_id : victims) table->Delete(row_id);
+  for (const DmlVictim& victim : victims) table->Delete(victim.row_id);
   ++local.statements_executed;
   LocalStats().MergeSingleWriter(local);
   QueryResult result;

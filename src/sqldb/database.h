@@ -98,29 +98,27 @@ class Database : public CatalogView {
     /// Verify FOREIGN KEY references on INSERT (parents must exist).
     bool enforce_foreign_keys = true;
     /// Run the rule-based planner (EXISTS decorrelation into hash
-    /// semi/anti-joins, see planner.h) after binding every SELECT.
-    bool enable_planner = PlannerEnabledFromEnv();
-    /// Cache parsed+bound+planned SELECTs keyed by SQL text, so repeated
+    /// semi/anti-joins, see planner.h) after binding every SELECT, and
+    /// cache parsed+bound+planned SELECTs keyed by SQL text, so repeated
     /// executions of the same statement (the server's per-match rule
-    /// queries) skip parse/bind/plan entirely. Entries are stamped with the
-    /// catalog generation and lazily re-prepared after DDL.
-    bool enable_plan_cache = PlannerEnabledFromEnv();
-    /// Bounded LRU capacity of the plan cache.
-    size_t plan_cache_capacity = 256;
+    /// queries) skip parse/bind/plan entirely. Cache entries are stamped
+    /// with the catalog generation and lazily re-prepared after DDL. Off =
+    /// every execution parses, binds and annotates afresh and runs the
+    /// correlated EXISTS path.
+    bool enable_planner = PlannerEnabledFromEnv();
     /// Maintain table/column statistics (see stats.h) and let them moderate
     /// the rule planner: build-side estimates, EXISTS rewrite vetoes,
     /// cheapest-build-first join ordering, index-vs-seq access choice, and
     /// stats-epoch invalidation of cached plans. Off = the planner is
-    /// purely syntactic, exactly as before, and stats maintenance costs
-    /// zero on every DML path.
+    /// purely syntactic, and stats maintenance costs zero on every DML
+    /// path.
     bool enable_cost_model = CostModelEnabledFromEnv();
-    /// Annotate planned SELECTs with per-slot access paths and run them on
-    /// the vectorized batch executor (chunked scans, selection-vector
-    /// predicate kernels, batched hash-join probes; see vectorized.cc).
-    /// Off = the scalar row-at-a-time path, byte-identical to before.
+    /// Let the executor filter the innermost FROM slot of a scan with more
+    /// than 16 candidate rows in chunks, with selection-vector predicate
+    /// kernels and batched hash-join probes (see vectorized.cc). Off =
+    /// every slot filters row at a time. Access paths come from the planner
+    /// either way, and results are identical.
     bool enable_vectorized_executor = VectorizeEnabledFromEnv();
-    /// Rows per columnar chunk on the vectorized path.
-    uint32_t vector_chunk_size = 1024;
     /// Fingerprint every prepared SELECT (literals normalize to `?`) and
     /// keep per-fingerprint aggregates — calls, rows, cache hits, rewrites,
     /// latency distribution (see statement_stats.h). Off by default: the
@@ -289,8 +287,9 @@ class Database : public CatalogView {
                                   const std::vector<Value>* params,
                                   obs::TraceContext* trace);
 
-  /// Binds (and, when enabled, plans) a freshly parsed SELECT, counting the
-  /// work in the stats aggregate. With statement stats on and a non-empty
+  /// Binds a freshly parsed SELECT, plans it when enabled, annotates its
+  /// access paths and execution hints, and counts the work in the stats
+  /// aggregate. With statement stats on and a non-empty
   /// `sql`, interns the statement shape and stamps the entry pointer onto
   /// the bound AST so executions tally without any lookup.
   Status BindAndPlan(SelectStmt* select, std::string_view sql = {});
@@ -313,6 +312,20 @@ class Database : public CatalogView {
   void StoreCachedPlan(std::string_view sql,
                        std::shared_ptr<const SelectStmt> plan);
   Result<QueryResult> ExecuteInsert(InsertStmt* stmt);
+  /// A row an UPDATE or DELETE acts on: its id, and the values the probe's
+  /// select list (UPDATE's assignment expressions) takes on it.
+  struct DmlVictim {
+    size_t row_id;
+    Row values;
+  };
+  /// The WHERE evaluation of UPDATE and DELETE: moves `*where` and the
+  /// `*values` expressions into a one-table probe SELECT over `table`, binds
+  /// and annotates it, and collects every live row the WHERE accepts (every
+  /// live row when `*where` is null). The expressions are moved back before
+  /// returning, so the statement can execute again.
+  Result<std::vector<DmlVictim>> FindDmlVictims(
+      const Table& table, const std::string& table_name, ExprPtr* where,
+      const std::vector<ExprPtr*>& values, ExecStats* stats);
   Result<QueryResult> ExecuteUpdate(UpdateStmt* stmt);
   Result<QueryResult> ExecuteDelete(DeleteStmt* stmt);
   Status CheckForeignKeys(const Table& table, const Row& row) const;

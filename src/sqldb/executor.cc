@@ -1,6 +1,7 @@
 #include "sqldb/executor.h"
 
 #include <algorithm>
+#include <cassert>
 #include <map>
 #include <set>
 #include <string>
@@ -28,82 +29,6 @@ const PlanNodeStats* PlanProfile::FindHashJoin(const Expr* join) const {
 
 namespace {
 
-/// Flattens nested ANDs into a conjunct list.
-void FlattenAnd(const Expr* e, std::vector<const Expr*>* out) {
-  if (e->kind == ExprKind::kLogical) {
-    const auto* l = static_cast<const LogicalExpr*>(e);
-    if (l->is_and) {
-      for (const ExprPtr& op : l->operands) FlattenAnd(op.get(), out);
-      return;
-    }
-  }
-  out->push_back(e);
-}
-
-/// True when every column reference in `e` is available before `slot` is
-/// assigned: either an outer-scope reference (level > 0) or an earlier slot
-/// of the current FROM list. Subqueries are conservatively unavailable.
-bool RefsAvailableForSlot(const Expr& e, size_t slot) {
-  switch (e.kind) {
-    case ExprKind::kLiteral:
-    case ExprKind::kParam:  // bound before execution starts
-      return true;
-    case ExprKind::kColumnRef: {
-      const auto& ref = static_cast<const ColumnRefExpr&>(e);
-      return ref.level > 0 || ref.table_slot < slot;
-    }
-    case ExprKind::kComparison: {
-      const auto& c = static_cast<const ComparisonExpr&>(e);
-      return RefsAvailableForSlot(*c.left, slot) &&
-             RefsAvailableForSlot(*c.right, slot);
-    }
-    case ExprKind::kLogical: {
-      const auto& l = static_cast<const LogicalExpr&>(e);
-      for (const auto& op : l.operands) {
-        if (!RefsAvailableForSlot(*op, slot)) return false;
-      }
-      return true;
-    }
-    case ExprKind::kNot:
-      return RefsAvailableForSlot(*static_cast<const NotExpr&>(e).operand,
-                                  slot);
-    case ExprKind::kIsNull:
-      return RefsAvailableForSlot(*static_cast<const IsNullExpr&>(e).operand,
-                                  slot);
-    default:
-      return false;
-  }
-}
-
-}  // namespace
-
-std::vector<IndexableEquality> CollectIndexableEqualities(const Expr* where,
-                                                          size_t slot) {
-  std::vector<IndexableEquality> out;
-  if (where == nullptr) return out;
-  std::vector<const Expr*> conjuncts;
-  FlattenAnd(where, &conjuncts);
-  for (const Expr* c : conjuncts) {
-    if (c->kind != ExprKind::kComparison) continue;
-    const auto* cmp = static_cast<const ComparisonExpr*>(c);
-    if (cmp->op != CompareOp::kEq) continue;
-    const Expr* sides[2] = {cmp->left.get(), cmp->right.get()};
-    for (int i = 0; i < 2; ++i) {
-      const Expr* col_side = sides[i];
-      const Expr* val_side = sides[1 - i];
-      if (col_side->kind != ExprKind::kColumnRef) continue;
-      const auto* ref = static_cast<const ColumnRefExpr*>(col_side);
-      if (ref->level != 0 || ref->table_slot != slot) continue;
-      if (!RefsAvailableForSlot(*val_side, slot)) continue;
-      out.push_back(IndexableEquality{ref->column_ordinal, val_side});
-      break;
-    }
-  }
-  return out;
-}
-
-namespace {
-
 Result<Value> ThreeValuedNot(const Value& v) {
   if (v.is_null()) return Value::Null();
   if (v.type() != ValueType::kBoolean) {
@@ -111,6 +36,42 @@ Result<Value> ThreeValuedNot(const Value& v) {
   }
   return Value::Boolean(!v.AsBoolean());
 }
+
+/// The values of one index or hash-set probe key, held on the stack for the
+/// common narrow keys and spilled to the heap only for very wide ones. Probes
+/// pass a non-owning IndexKeyView: the match path probes once per scan or
+/// outer row, and an owned IndexKey would allocate every time.
+class ProbeKey {
+ public:
+  explicit ProbeKey(size_t width) {
+    if (width > kInline) {
+      spill_vals_.resize(width);
+      spill_ptrs_.resize(width);
+      vals_ = spill_vals_.data();
+      ptrs_ = spill_ptrs_.data();
+    }
+  }
+  ProbeKey(const ProbeKey&) = delete;
+  ProbeKey& operator=(const ProbeKey&) = delete;
+
+  /// Stores component `i` and returns it.
+  const Value& Set(size_t i, Value v) {
+    vals_[i] = std::move(v);
+    ptrs_[i] = &vals_[i];
+    return vals_[i];
+  }
+  /// The first `n` components.
+  IndexKeyView View(size_t n) const { return IndexKeyView{ptrs_, n}; }
+
+ private:
+  static constexpr size_t kInline = 8;
+  Value inline_vals_[kInline];
+  const Value* inline_ptrs_[kInline] = {};
+  std::vector<Value> spill_vals_;
+  std::vector<const Value*> spill_ptrs_;
+  Value* vals_ = inline_vals_;
+  const Value** ptrs_ = inline_ptrs_;
+};
 
 }  // namespace
 
@@ -380,38 +341,22 @@ Result<Value> Executor::EvalHashJoin(const HashJoinExpr& join,
   // can never equal anything, so the subquery's correlation equality is
   // UNKNOWN for every inner row — EXISTS is false, NOT EXISTS is true —
   // without needing the key set at all.
-  // The probe key lives on the stack and is passed as a non-owning view
-  // (heterogeneous lookup): probes run once per outer row on the match
-  // path, and an owned IndexKey would allocate every time.
-  constexpr size_t kInlineKeyCols = 8;
-  Value inline_vals[kInlineKeyCols];
-  const Value* inline_ptrs[kInlineKeyCols];
-  std::vector<Value> spill_vals;
-  std::vector<const Value*> spill_ptrs;
-  Value* vals = inline_vals;
-  const Value** ptrs = inline_ptrs;
-  if (join.probe_keys.size() > kInlineKeyCols) {
-    spill_vals.resize(join.probe_keys.size());
-    spill_ptrs.resize(join.probe_keys.size());
-    vals = spill_vals.data();
-    ptrs = spill_ptrs.data();
-  }
+  ProbeKey key(join.probe_keys.size());
   size_t nk = 0;
   bool null_key = false;
   for (const ExprPtr& pk : join.probe_keys) {
-    P3PDB_ASSIGN_OR_RETURN(vals[nk], Eval(*pk, stack));
-    if (vals[nk].is_null()) {
+    P3PDB_ASSIGN_OR_RETURN(Value v, Eval(*pk, stack));
+    if (key.Set(nk, std::move(v)).is_null()) {
       null_key = true;
       break;
     }
-    ptrs[nk] = &vals[nk];
     ++nk;
   }
   bool found = false;
   if (!null_key) {
     P3PDB_ASSIGN_OR_RETURN(const HashJoinRuntime::KeySet* keys,
                            MemoKeySet(join));
-    found = keys->find(IndexKeyView{ptrs, nk}) != keys->end();
+    found = keys->find(key.View(nk)) != keys->end();
   }
   ++stats_->hash_join_probes;
   if (node != nullptr) {
@@ -526,79 +471,40 @@ Status Executor::ScanSlot(const SelectStmt& stmt, ScopeStack& stack,
                           Scope& scope, size_t slot,
                           const RowCallback& on_row,
                           bool* stopped, PlanNodeStats* node) {
-  // Annotated statements take the vectorized path when it is enabled; the
-  // scalar path below is byte-identical to the pre-vectorization executor
-  // (it also serves un-annotated statements, e.g. DML probe selects).
-  if (config_.vectorized && !stmt.slot_plans.empty()) {
-    return ScanSlotVectorized(stmt, stack, scope, slot, on_row, stopped, node);
-  }
-
+  // Every executed statement is annotated (AnnotateSelect), one plan per
+  // FROM slot.
+  assert(stmt.slot_plans.size() == stmt.from.size());
   const Table* table = stmt.from[slot].table;
+  const SlotPlan& sp = stmt.slot_plans[slot];
 
-  // Access path: annotated statements carry the planner's choice (which,
-  // with the cost model on, may have overridden the syntactic index pick
-  // with a forced sequential scan); un-annotated statements re-derive the
-  // syntactic choice per scan, byte-identical to the pre-planner executor.
-  const Index* index = nullptr;
-  std::vector<const Expr*> key_exprs;
-  if (!stmt.slot_plans.empty()) {
-    const SlotPlan& sp = stmt.slot_plans[slot];
-    index = sp.index;
-    key_exprs = sp.key_exprs;
-  } else {
-    std::vector<IndexableEquality> equalities =
-        CollectIndexableEqualities(stmt.where.get(), slot);
-    if (!equalities.empty()) {
-      std::vector<size_t> available_ordinals;
-      available_ordinals.reserve(equalities.size());
-      for (const IndexableEquality& eq : equalities) {
-        available_ordinals.push_back(eq.column_ordinal);
-      }
-      index = table->FindIndexCovering(available_ordinals);
-    }
-    if (index != nullptr) {
-      for (size_t ord : index->column_ordinals()) {
-        const Expr* key_expr = nullptr;
-        for (const IndexableEquality& eq : equalities) {
-          if (eq.column_ordinal == ord) {
-            key_expr = eq.key_expr;
-            break;
-          }
-        }
-        key_exprs.push_back(key_expr);
-      }
-    }
-  }
-
-  if (index != nullptr) {
+  const std::vector<size_t>* row_ids = nullptr;
+  if (sp.index != nullptr) {
     ++stats_->index_lookups;
-    IndexKey key;
-    key.values.reserve(key_exprs.size());
-    for (const Expr* key_expr : key_exprs) {
-      P3PDB_ASSIGN_OR_RETURN(Value v, Eval(*key_expr, stack));
-      key.values.push_back(std::move(v));
+    const size_t nk = sp.key_exprs.size();
+    ProbeKey key(nk);
+    for (size_t i = 0; i < nk; ++i) {
+      P3PDB_ASSIGN_OR_RETURN(Value v, Eval(*sp.key_exprs[i], stack));
+      key.Set(i, std::move(v));
     }
-    const std::vector<size_t>* row_ids = index->Lookup(key);
+    // By pointer: execution is read-only over the tables (DML never runs
+    // concurrently with or within a SELECT), so the id list is stable.
+    row_ids = sp.index->Lookup(key.View(nk));
     if (row_ids == nullptr) return Status::OK();
-    // By reference: execution is read-only over the tables (DML never runs
-    // concurrently with or within a SELECT), so the id list is stable and
-    // copying it would tax every probe of the hot match path.
-    const std::vector<size_t>& ids = *row_ids;
-    for (size_t row_id : ids) {
-      if (!table->IsLive(row_id)) continue;
-      ++stats_->rows_scanned;
-      if (node != nullptr) ++node->rows;
-      scope.rows[slot] = &table->RowAt(row_id);
-      P3PDB_RETURN_IF_ERROR(
-          EnumerateRows(stmt, stack, scope, slot + 1, on_row, stopped));
-      if (*stopped) break;
-    }
-    scope.rows[slot] = nullptr;
-    return Status::OK();
+  } else {
+    ++stats_->full_scans;
   }
 
-  ++stats_->full_scans;
-  for (size_t row_id = 0; row_id < table->SlotCount(); ++row_id) {
+  // The innermost filtered slot of a large scan filters in chunks (see
+  // vectorized.cc).
+  const size_t candidates =
+      row_ids != nullptr ? row_ids->size() : table->SlotCount();
+  if (config_.vectorized && sp.vector_filter && candidates > kSmallScan) {
+    return FilterChunks(stmt, stack, scope, slot, row_ids, on_row, stopped,
+                        node);
+  }
+
+  for (size_t i = 0; i < candidates; ++i) {
+    const size_t row_id = row_ids != nullptr ? (*row_ids)[i] : i;
     if (!table->IsLive(row_id)) continue;
     ++stats_->rows_scanned;
     if (node != nullptr) ++node->rows;
@@ -613,25 +519,14 @@ Status Executor::ScanSlot(const SelectStmt& stmt, ScopeStack& stack,
 
 Result<QueryResult> Executor::RunSelect(const SelectStmt& stmt) {
   ScopeStack stack;
-  bool aggregate_mode;
-  if (stmt.aggregate_mode >= 0) {
-    aggregate_mode = stmt.aggregate_mode != 0;
-  } else {
-    aggregate_mode = !stmt.group_by.empty();
-    for (const SelectItem& item : stmt.items) {
-      if (!item.is_star && ContainsAggregate(*item.expr)) {
-        aggregate_mode = true;
-      }
-    }
-  }
   if (profile_ == nullptr) {
-    if (aggregate_mode) return RunAggregateSelect(stmt, stack);
+    if (stmt.aggregate_mode) return RunAggregateSelect(stmt, stack);
     return RunPlainSelect(stmt, stack);
   }
   PlanNodeStats* node = profile_->Select(&stmt);
   ++node->loops;
   Stopwatch sw;
-  auto result = aggregate_mode ? RunAggregateSelect(stmt, stack)
+  auto result = stmt.aggregate_mode ? RunAggregateSelect(stmt, stack)
                                : RunPlainSelect(stmt, stack);
   node->elapsed_us += sw.ElapsedMicros();
   if (result.ok()) node->rows += result.value().rows.size();
@@ -700,23 +595,7 @@ Result<QueryResult> Executor::RunPlainSelect(const SelectStmt& stmt,
   ++stats_->statements_executed;
   QueryResult result;
 
-  // Column headers (precomputed at bind time on the statements that went
-  // through BindAndPlan; re-derived here otherwise).
-  if (stmt.column_headers != nullptr) {
-    result.columns.Borrow(stmt.column_headers);
-  } else {
-    for (const SelectItem& item : stmt.items) {
-      if (item.is_star) {
-        for (const TableRef& tr : stmt.from) {
-          for (const ColumnDef& col : tr.table->schema().columns()) {
-            result.columns.push_back(col.name);
-          }
-        }
-      } else {
-        result.columns.push_back(ItemColumnName(item));
-      }
-    }
-  }
+  result.columns.Borrow(stmt.column_headers);
 
   Scope scope;
   scope.stmt = &stmt;
@@ -1016,9 +895,9 @@ void PrecomputeExecHints(SelectStmt* stmt) {
   for (const SelectItem& item : stmt->items) {
     if (!item.is_star && ContainsAggregate(*item.expr)) aggregate_mode = true;
   }
-  stmt->aggregate_mode = aggregate_mode ? 1 : 0;
-  // Headers match RunPlainSelect's derivation exactly; the aggregate path
-  // keeps building its own (its header shape differs for star items).
+  stmt->aggregate_mode = aggregate_mode;
+  // RunPlainSelect borrows these; the aggregate path keeps building its own
+  // (its header shape differs for star items).
   auto headers = std::make_shared<std::vector<std::string>>();
   for (const SelectItem& item : stmt->items) {
     if (item.is_star) {

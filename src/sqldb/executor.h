@@ -1,13 +1,14 @@
 // Query executor.
 //
-// Evaluation is tuple-at-a-time over nested loops. For each table in a FROM
-// list the executor picks an access path: when the WHERE clause contains
-// equality conjuncts binding indexed columns of that table to values already
-// available (outer-scope tables of a correlated subquery, or earlier tables
-// in the same FROM list), it performs a hash-index point lookup; otherwise
-// it scans. Correlated EXISTS subqueries are re-evaluated per outer row with
-// early-out on the first matching row — the execution shape DB2 would pick
-// for the highly selective key joins of the generated APPEL queries.
+// Evaluation is tuple-at-a-time over nested loops. The executor chooses no
+// access paths: Database::BindAndPlan annotates every bound SELECT (see
+// planner.h:AnnotateSelect), and each FROM slot runs the SlotPlan it was
+// given — a hash-index point lookup keyed by values already available
+// (outer-scope tables of a correlated subquery, or earlier tables in the
+// same FROM list), or a sequential scan. Correlated EXISTS subqueries are
+// re-evaluated per outer row with early-out on the first matching row — the
+// execution shape DB2 would pick for the highly selective key joins of the
+// generated APPEL queries.
 
 #ifndef P3PDB_SQLDB_EXECUTOR_H_
 #define P3PDB_SQLDB_EXECUTOR_H_
@@ -85,12 +86,12 @@ class PlanProfile {
   std::map<const Expr*, PlanNodeStats> hash_joins_;
 };
 
-/// Execution-mode knobs, passed down from Database::Options. `vectorized`
-/// turns on the batch scan/filter path for annotated statements (see
-/// vectorized.cc); the scalar path is untouched when it is off.
+/// Execution-mode knob, passed down from Database::Options. `vectorized`
+/// lets ScanSlot filter the innermost slot of a large scan in chunks (see
+/// vectorized.cc); off, every slot runs row-at-a-time. Results are the same
+/// either way.
 struct ExecConfig {
   bool vectorized = false;
-  uint32_t chunk_size = 1024;
 };
 
 struct VecScratch;  // chunk evaluation arenas, defined in vectorized.cc
@@ -225,23 +226,30 @@ class Executor {
   Status EnumerateRows(const SelectStmt& stmt, ScopeStack& stack, Scope& scope,
                        size_t slot, const RowCallback& on_row,
                        bool* stopped);
-  /// The per-slot body of EnumerateRows (access-path choice and row loop);
-  /// `node` collects actuals when profiling, else nullptr.
+  /// The per-slot body of EnumerateRows: probes the slot's planned access
+  /// path, then walks the candidate rows one at a time, or in chunks via
+  /// FilterChunks for the innermost filtered slot of a large scan when
+  /// config_.vectorized is set. `node` collects actuals when profiling,
+  /// else nullptr.
   Status ScanSlot(const SelectStmt& stmt, ScopeStack& stack, Scope& scope,
                   size_t slot, const RowCallback& on_row,
                   bool* stopped, PlanNodeStats* node);
 
-  // --- Vectorized path (vectorized.cc) -------------------------------------
-  // ScanSlot dispatches here when config_.vectorized is set and the
-  // statement carries slot_plans. The annotated access path replaces the
-  // per-scan equality collection; the innermost filtered slot additionally
-  // gathers rows into chunks and evaluates the WHERE clause with the chunk
-  // kernels in EvalPredicateChunk. Semantics are identical to the scalar
-  // path (three-valued logic, NULL join verdicts, error messages).
-  Status ScanSlotVectorized(const SelectStmt& stmt, ScopeStack& stack,
-                            Scope& scope, size_t slot,
-                            const RowCallback& on_row,
-                            bool* stopped, PlanNodeStats* node);
+  /// Scans with at most this many candidate rows stay row-at-a-time: the
+  /// match path's per-policy point lookups position one or two rows, where
+  /// scratch leasing and kernel dispatch cost more than they amortize.
+  static constexpr size_t kSmallScan = 16;
+
+  // --- Chunked filter (vectorized.cc) ---------------------------------------
+  /// Gathers the candidate rows of innermost slot `slot` (`row_ids`, or the
+  /// whole table when null) into chunks and evaluates the WHERE clause with
+  /// the chunk kernels in EvalPredicateChunk, emitting passing rows to
+  /// `on_row`. Semantics are identical to the row-at-a-time loop
+  /// (three-valued logic, NULL join verdicts, error messages).
+  Status FilterChunks(const SelectStmt& stmt, ScopeStack& stack, Scope& scope,
+                      size_t slot, const std::vector<size_t>* row_ids,
+                      const RowCallback& on_row, bool* stopped,
+                      PlanNodeStats* node);
   /// Evaluates `expr` as a predicate over the active rows of the current
   /// chunk, writing tri-state verdicts (false/true/null) into `out` at the
   /// active positions. `active`/`n_active` is a selection vector of chunk
@@ -285,22 +293,10 @@ class Executor {
 bool SqlLikeMatch(std::string_view text, std::string_view pattern,
                   char escape_char = '\0');
 
-/// An equality conjunct usable for an index lookup when positioning FROM
-/// slot `slot`: a column of that slot equated with an expression whose
-/// inputs are already available. Shared between the executor's access-path
-/// choice and EXPLAIN.
-struct IndexableEquality {
-  size_t column_ordinal;
-  const Expr* key_expr;
-};
-
-/// Extracts the indexable equalities for `slot` from a bound WHERE clause.
-std::vector<IndexableEquality> CollectIndexableEqualities(const Expr* where,
-                                                          size_t slot);
-
 /// Fills the bound statement's execution hints (column headers, aggregate
 /// mode) so the per-query hot path does not re-derive them. Called from
-/// Database::BindAndPlan after planning; the hints describe the final tree.
+/// Database::BindAndPlan on every SELECT it prepares, after planning; the
+/// hints describe the final tree. RunSelect reads them and requires them.
 void PrecomputeExecHints(SelectStmt* stmt);
 
 }  // namespace p3pdb::sqldb

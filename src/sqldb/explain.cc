@@ -141,50 +141,17 @@ void ExplainSelect(const SelectStmt& stmt, int depth,
       out->append(" (unbound)\n");
       continue;
     }
-    // Annotated statements carry the planner's final access path (the cost
-    // model may have overridden the syntactic index choice); un-annotated
-    // ones re-derive the syntactic choice, matching the scalar executor.
-    const Index* index = nullptr;
-    std::vector<const Expr*> key_exprs;
-    double est_rows = -1.0;
-    bool seq_forced = false;
-    if (!stmt.slot_plans.empty()) {
-      const SlotPlan& sp = stmt.slot_plans[slot];
-      index = sp.index;
-      key_exprs = sp.key_exprs;
-      est_rows = sp.est_rows;
-      seq_forced = sp.seq_forced;
-    } else {
-      std::vector<IndexableEquality> equalities =
-          CollectIndexableEqualities(stmt.where.get(), slot);
-      if (!equalities.empty()) {
-        std::vector<size_t> ordinals;
-        ordinals.reserve(equalities.size());
-        for (const IndexableEquality& eq : equalities) {
-          ordinals.push_back(eq.column_ordinal);
-        }
-        index = ref.table->FindIndexCovering(ordinals);
-      }
-      if (index != nullptr) {
-        for (size_t ord : index->column_ordinals()) {
-          const Expr* key_expr = nullptr;
-          for (const IndexableEquality& eq : equalities) {
-            if (eq.column_ordinal == ord) {
-              key_expr = eq.key_expr;
-              break;
-            }
-          }
-          key_exprs.push_back(key_expr);
-        }
-      }
-    }
+    // The planner's access path, exactly what the executor runs (the cost
+    // model may have overridden the syntactic index choice).
+    const SlotPlan& sp = stmt.slot_plans[slot];
+    const Index* index = sp.index;
     if (index != nullptr) {
       std::vector<std::string> cols;
       const std::vector<size_t>& ordinals = index->column_ordinals();
       for (size_t i = 0; i < ordinals.size(); ++i) {
         std::string col = ref.table->schema().columns()[ordinals[i]].name;
-        if (i < key_exprs.size() && key_exprs[i] != nullptr) {
-          col += " = " + RenderKeyExpr(*key_exprs[i], options);
+        if (i < sp.key_exprs.size() && sp.key_exprs[i] != nullptr) {
+          col += " = " + RenderKeyExpr(*sp.key_exprs[i], options);
         }
         cols.push_back(std::move(col));
       }
@@ -193,7 +160,7 @@ void ExplainSelect(const SelectStmt& stmt, int depth,
     } else {
       out->append(" (seq scan)");
     }
-    AppendEstimate(est_rows, seq_forced, out);
+    AppendEstimate(sp.est_rows, sp.seq_forced, out);
     if (options.profile != nullptr) {
       AppendActuals(options.profile->FindScan(&stmt, slot), options, out);
     }

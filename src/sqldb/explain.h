@@ -1,6 +1,7 @@
-// EXPLAIN: renders the access-path decisions the executor will make for a
-// bound SELECT — which tables are probed through which hash index and which
-// fall back to sequential scans, with subqueries indented. This is how the
+// EXPLAIN: renders the access paths the planner chose for a bound SELECT,
+// which are exactly what the executor runs — which tables are probed
+// through which hash index and which fall back to sequential scans, with
+// subqueries indented. This is how the
 // schema-ablation experiments show *why* the Figure 15 queries beat the
 // Figure 13 ones.
 
@@ -27,8 +28,9 @@ struct ExplainOptions {
   const PlanProfile* profile = nullptr;
 };
 
-/// Produces the plan text for a *bound* SELECT (Database::Execute binds
-/// before calling this for EXPLAIN statements). One line per plan node:
+/// Produces the plan text for a *bound and annotated* SELECT
+/// (Database::Execute prepares it before calling this for EXPLAIN
+/// statements). One line per plan node:
 ///
 ///   select
 ///     scan ApplicablePolicy (seq scan)

@@ -383,7 +383,23 @@ class Parser {
 
   // ---- expressions ----
 
-  Result<ExprPtr> ParseExpr() { return ParseOr(); }
+  Result<ExprPtr> ParseExpr() {
+    P3PDB_RETURN_IF_ERROR(EnterNesting());
+    Result<ExprPtr> expr = ParseOr();
+    --depth_;
+    return expr;
+  }
+
+  /// Opens one expression nesting level (see kMaxExpressionDepth); the
+  /// caller closes it with --depth_.
+  Status EnterNesting() {
+    if (depth_ == kMaxExpressionDepth) {
+      return ErrorHere("expression nested deeper than " +
+                       std::to_string(kMaxExpressionDepth) + " levels");
+    }
+    ++depth_;
+    return Status::OK();
+  }
 
   Result<ExprPtr> ParseOr() {
     P3PDB_ASSIGN_OR_RETURN(ExprPtr first, ParseAnd());
@@ -416,8 +432,11 @@ class Parser {
         Advance();
         return ParseExistsBody(/*negated=*/true);
       }
-      P3PDB_ASSIGN_OR_RETURN(ExprPtr inner, ParseNot());
-      return ExprPtr(new NotExpr(std::move(inner)));
+      P3PDB_RETURN_IF_ERROR(EnterNesting());
+      Result<ExprPtr> inner = ParseNot();
+      --depth_;
+      P3PDB_RETURN_IF_ERROR(inner.status());
+      return ExprPtr(new NotExpr(std::move(inner).value()));
     }
     return ParsePredicate();
   }
@@ -587,6 +606,8 @@ class Parser {
   // `?` placeholders seen so far in the current statement; becomes the root
   // SELECT's param_count.
   size_t param_count_ = 0;
+  // Open expression nesting levels (see EnterNesting).
+  int depth_ = 0;
 };
 
 }  // namespace

@@ -12,6 +12,14 @@
 
 namespace p3pdb::sqldb {
 
+/// Expression nesting the parser accepts: the outermost expression of a
+/// clause is level 1, and each parenthesis, NOT, subquery, IN list and
+/// aggregate argument opens one more level. The parser recurses once per
+/// level, so without a bound a deeply nested statement overflows the stack;
+/// deeper input fails with a ParseError. The translators' generated SQL
+/// nests at most 15 levels.
+constexpr int kMaxExpressionDepth = 256;
+
 /// Parses a single SQL statement (a trailing semicolon is allowed).
 Result<std::unique_ptr<Statement>> ParseStatement(std::string_view sql);
 

@@ -202,8 +202,8 @@ void CollectTablesExpr(const Expr& e, std::vector<const Table*>* out) {
   }
 }
 
-/// Owning counterpart of the executor's FlattenAnd: dismantles a tree of
-/// nested ANDs into its conjuncts, preserving left-to-right order.
+/// Dismantles a tree of nested ANDs into its conjuncts, preserving
+/// left-to-right order.
 void FlattenAndOwned(ExprPtr e, std::vector<ExprPtr>* out) {
   if (e->kind == ExprKind::kLogical) {
     auto* l = static_cast<LogicalExpr*>(e.get());
@@ -215,7 +215,7 @@ void FlattenAndOwned(ExprPtr e, std::vector<ExprPtr>* out) {
   out->push_back(std::move(e));
 }
 
-/// Read-only view of the same flattening, for the eligibility check.
+/// Read-only view of the same flattening.
 void FlattenAndView(const Expr* e, std::vector<const Expr*>* out) {
   if (e->kind == ExprKind::kLogical) {
     const auto* l = static_cast<const LogicalExpr*>(e);
@@ -748,12 +748,80 @@ void PlanSelect(SelectStmt* stmt, PlannerStats* stats,
 
 namespace {
 
+/// True when every column reference in `e` is available before `slot` is
+/// assigned: either an outer-scope reference (level > 0) or an earlier slot
+/// of the current FROM list. Subqueries are conservatively unavailable.
+bool RefsAvailableForSlot(const Expr& e, size_t slot) {
+  switch (e.kind) {
+    case ExprKind::kLiteral:
+    case ExprKind::kParam:  // bound before execution starts
+      return true;
+    case ExprKind::kColumnRef: {
+      const auto& ref = static_cast<const ColumnRefExpr&>(e);
+      return ref.level > 0 || ref.table_slot < slot;
+    }
+    case ExprKind::kComparison: {
+      const auto& c = static_cast<const ComparisonExpr&>(e);
+      return RefsAvailableForSlot(*c.left, slot) &&
+             RefsAvailableForSlot(*c.right, slot);
+    }
+    case ExprKind::kLogical: {
+      const auto& l = static_cast<const LogicalExpr&>(e);
+      for (const auto& op : l.operands) {
+        if (!RefsAvailableForSlot(*op, slot)) return false;
+      }
+      return true;
+    }
+    case ExprKind::kNot:
+      return RefsAvailableForSlot(*static_cast<const NotExpr&>(e).operand,
+                                  slot);
+    case ExprKind::kIsNull:
+      return RefsAvailableForSlot(*static_cast<const IsNullExpr&>(e).operand,
+                                  slot);
+    default:
+      return false;
+  }
+}
+
+/// An equality conjunct usable for an index lookup when positioning FROM
+/// slot `slot`: a column of that slot equated with an expression whose
+/// inputs are already available.
+struct IndexableEquality {
+  size_t column_ordinal;
+  const Expr* key_expr;
+};
+
+/// Extracts the indexable equalities for `slot` from a bound WHERE clause.
+std::vector<IndexableEquality> CollectIndexableEqualities(const Expr* where,
+                                                          size_t slot) {
+  std::vector<IndexableEquality> out;
+  if (where == nullptr) return out;
+  std::vector<const Expr*> conjuncts;
+  FlattenAndView(where, &conjuncts);
+  for (const Expr* c : conjuncts) {
+    if (c->kind != ExprKind::kComparison) continue;
+    const auto* cmp = static_cast<const ComparisonExpr*>(c);
+    if (cmp->op != CompareOp::kEq) continue;
+    const Expr* sides[2] = {cmp->left.get(), cmp->right.get()};
+    for (int i = 0; i < 2; ++i) {
+      const Expr* col_side = sides[i];
+      const Expr* val_side = sides[1 - i];
+      const ColumnRefExpr* ref = SlotColumn(*col_side, slot);
+      if (ref == nullptr || !RefsAvailableForSlot(*val_side, slot)) continue;
+      out.push_back(IndexableEquality{ref->column_ordinal, val_side});
+      break;
+    }
+  }
+  return out;
+}
+
 void AnnotateExpr(const Expr& e, const StatsCatalog* catalog,
                   PlannerStats* stats);
 
-/// Resolves the access path of every FROM slot of `stmt`, mirroring the
-/// executor's per-scan derivation exactly (same equality collection, same
-/// FindIndexCovering tie-break) so plans and actuals match either way.
+/// Resolves the access path of every FROM slot of `stmt`: the first index
+/// (FindIndexCovering's tie-break) whose columns the WHERE equates with
+/// values available when the slot is positioned. This is the only place an
+/// access path is chosen; the executor and EXPLAIN read the result.
 /// With a catalog, each slot is additionally costed: estimated rows are
 /// stamped for EXPLAIN, and a syntactically chosen index whose key is so
 /// unselective that the lookup would return most of the table (low-NDV
@@ -764,7 +832,7 @@ void AnnotateOne(SelectStmt* stmt, const StatsCatalog* catalog,
   for (size_t slot = 0; slot < stmt->from.size(); ++slot) {
     SlotPlan& sp = stmt->slot_plans[slot];
     const Table* table = stmt->from[slot].table;
-    if (table == nullptr) continue;  // unbound (defensive); scalar would fail
+    if (table == nullptr) continue;  // unbound (defensive)
     std::vector<IndexableEquality> equalities =
         CollectIndexableEqualities(stmt->where.get(), slot);
     if (!equalities.empty()) {
@@ -816,8 +884,8 @@ void AnnotateOne(SelectStmt* stmt, const StatsCatalog* catalog,
     }
   }
   // Only the innermost slot may filter in chunks: outer slots must stay
-  // row-at-a-time so EXISTS early-out never scans rows the scalar path
-  // would not have touched.
+  // row-at-a-time so EXISTS early-out never scans rows a row-at-a-time
+  // filter would not have touched.
   if (!stmt->from.empty() && stmt->where != nullptr) {
     stmt->slot_plans.back().vector_filter = true;
   }
@@ -853,10 +921,14 @@ void AnnotateExpr(const Expr& e, const StatsCatalog* catalog,
       AnnotateOne(static_cast<const ExistsExpr&>(e).subquery.get(), catalog,
                   stats);
       return;
-    case ExprKind::kHashJoin:
-      AnnotateOne(static_cast<const HashJoinExpr&>(e).build.get(), catalog,
-                  stats);
+    case ExprKind::kHashJoin: {
+      const auto& hj = static_cast<const HashJoinExpr&>(e);
+      for (const ExprPtr& pk : hj.probe_keys) {
+        AnnotateExpr(*pk, catalog, stats);
+      }
+      AnnotateOne(hj.build.get(), catalog, stats);
       return;
+    }
     case ExprKind::kInList: {
       const auto& in = static_cast<const InListExpr&>(e);
       AnnotateExpr(*in.operand, catalog, stats);
@@ -875,7 +947,15 @@ void AnnotateExpr(const Expr& e, const StatsCatalog* catalog,
       AnnotateExpr(*lk.pattern, catalog, stats);
       return;
     }
-    default:
+    case ExprKind::kAggregate: {
+      // An aggregate's argument may hold an EXISTS, evaluated per row.
+      const auto& agg = static_cast<const AggregateExpr&>(e);
+      if (agg.arg != nullptr) AnnotateExpr(*agg.arg, catalog, stats);
+      return;
+    }
+    case ExprKind::kLiteral:
+    case ExprKind::kParam:
+    case ExprKind::kColumnRef:
       return;
   }
 }

@@ -75,11 +75,13 @@ void PlanSelect(SelectStmt* stmt, PlannerStats* stats = nullptr,
                 const StatsCatalog* catalog = nullptr);
 
 /// Fills `slot_plans` on `stmt` and every nested SELECT (EXISTS subqueries,
-/// hash-join build sides): the access path the executor would otherwise
-/// re-derive on every scan (index choice + probe key expressions), plus the
-/// vectorized-filter eligibility of the innermost FROM slot. Must run after
-/// PlanSelect (rewrites change the tree) and only on bound statements.
-/// Statements left un-annotated always execute on the scalar path.
+/// hash-join build sides): the access path of each FROM slot (index choice
+/// + probe key expressions), plus the chunked-filter eligibility of the
+/// innermost slot. This is the only place access paths are chosen: the
+/// executor and EXPLAIN read them, so every statement they see must be
+/// annotated (Database annotates every SELECT it prepares and every DML
+/// WHERE probe). Must run after PlanSelect (rewrites change the tree) and
+/// only on bound statements.
 ///
 /// With a non-null `catalog` each slot plan additionally carries estimated
 /// rows, and the cost model may override the syntactic index choice with a

@@ -1,14 +1,15 @@
-// Vectorized batch executor: the chunked scan/filter path of Executor.
+// Chunked filter of Executor::ScanSlot, and its predicate kernels.
 //
-// Scans of annotated statements (SelectStmt::slot_plans, see
-// planner.cc:AnnotateSelect) run here instead of the scalar ScanSlot body.
-// Outer FROM slots still position one row at a time — that preserves the
-// EXISTS early-out contract exactly — but they take their access path from
-// the plan annotation instead of re-deriving it per scan. The innermost
-// slot with a WHERE clause gathers live rows into chunks of row pointers
-// and evaluates the predicate with per-operator kernels over a selection
-// vector, so the interpreter recursion, Result<Value> plumbing, and Value
-// copies of the scalar path are amortized over whole chunks:
+// ScanSlot (executor.cc) runs every scan: it probes the access path the
+// planner chose (SelectStmt::slot_plans, see planner.cc:AnnotateSelect) and
+// walks the candidates row at a time. With ExecConfig::vectorized on, one
+// case branches here instead: the innermost slot with a WHERE clause
+// (SlotPlan::vector_filter) when it has more than a handful of candidates.
+// Outer slots stay row-at-a-time, which keeps the EXISTS early-out exact.
+// FilterChunks gathers live rows into chunks of row pointers and evaluates
+// the predicate with per-operator kernels over a selection vector, so the
+// interpreter recursion, Result<Value> plumbing, and Value copies of the
+// row-at-a-time filter are amortized over whole chunks:
 //
 //   - comparisons, IN lists, LIKE, and IS NULL run as tight loops over
 //     operand "slices" (a broadcast scalar, a column of the chunk, or a
@@ -26,13 +27,14 @@
 //
 // Three-valued logic is tracked as a tri-state verdict per chunk row; only
 // kTriTrue emits the row, matching EvalFilter. Chunks ramp from a small
-// size up to ExecConfig::chunk_size so an early-stopping consumer (EXISTS
-// over a filtered subquery) wastes little gather work.
+// size up to kChunkSize so an early-stopping consumer (EXISTS over a
+// filtered subquery) wastes little gather work.
 //
-// Scratch memory comes from a thread-local pool of cap-sized blocks handed
-// out LIFO, so steady-state execution allocates nothing per chunk.
+// Scratch memory comes from a thread-local pool of chunk-sized blocks
+// handed out LIFO, so steady-state execution allocates nothing per chunk.
 
 #include <algorithm>
+#include <array>
 #include <chrono>
 #include <cstdint>
 #include <memory>
@@ -51,8 +53,10 @@ constexpr uint8_t kTriFalse = 0;
 constexpr uint8_t kTriTrue = 1;
 constexpr uint8_t kTriNull = 2;
 
-// First-chunk gather size; quadruples per chunk up to ExecConfig::chunk_size
-// to bound wasted gathering when the consumer stops early.
+// Rows per full chunk. The first chunk gathers kRampStart rows and each
+// next one four times as many, up to kChunkSize, to bound wasted gathering
+// when the consumer stops early.
+constexpr size_t kChunkSize = 1024;
 constexpr size_t kRampStart = 32;
 
 Status IncompatibleTypes(const Value& a, const Value& b) {
@@ -63,13 +67,12 @@ Status IncompatibleTypes(const Value& a, const Value& b) {
 
 }  // namespace
 
-/// Reusable chunk-evaluation arenas. All blocks are `cap` elements long and
-/// handed out LIFO via Save/Restore marks, so nested kernel evaluations
+/// Reusable chunk-evaluation arenas. All blocks are kChunkSize elements long
+/// and handed out LIFO via Save/Restore marks, so nested kernel evaluations
 /// (AND of IN of comparisons) stack their temporaries without allocating
 /// after warm-up.
 struct VecScratch {
-  size_t cap = 0;
-  std::vector<const Row*> rows;  // the current chunk, indexed by chunk row
+  std::array<const Row*, kChunkSize> rows{};  // the current chunk
 
   std::vector<std::unique_ptr<uint32_t[]>> u32_blocks;
   std::vector<std::unique_ptr<uint8_t[]>> u8_blocks;
@@ -78,34 +81,23 @@ struct VecScratch {
   size_t u8_used = 0;
   size_t value_used = 0;
 
-  void Reset(size_t capacity) {
-    if (capacity > cap) {
-      u32_blocks.clear();
-      u8_blocks.clear();
-      value_blocks.clear();
-      cap = capacity;
-    }
-    if (rows.size() < cap) rows.resize(cap);
-    FreeAll();
-  }
-
   void FreeAll() { u32_used = u8_used = value_used = 0; }
 
   uint32_t* AllocU32() {
     if (u32_used == u32_blocks.size()) {
-      u32_blocks.push_back(std::make_unique<uint32_t[]>(cap));
+      u32_blocks.push_back(std::make_unique<uint32_t[]>(kChunkSize));
     }
     return u32_blocks[u32_used++].get();
   }
   uint8_t* AllocU8() {
     if (u8_used == u8_blocks.size()) {
-      u8_blocks.push_back(std::make_unique<uint8_t[]>(cap));
+      u8_blocks.push_back(std::make_unique<uint8_t[]>(kChunkSize));
     }
     return u8_blocks[u8_used++].get();
   }
   Value* AllocValues() {
     if (value_used == value_blocks.size()) {
-      value_blocks.push_back(std::make_unique<Value[]>(cap));
+      value_blocks.push_back(std::make_unique<Value[]>(kChunkSize));
     }
     return value_blocks[value_used++].get();
   }
@@ -132,14 +124,14 @@ thread_local std::vector<std::unique_ptr<VecScratch>> tls_scratch_pool;
 
 class VecScratchLease {
  public:
-  explicit VecScratchLease(size_t cap) {
+  VecScratchLease() {
     if (tls_scratch_pool.empty()) {
       scratch_ = std::make_unique<VecScratch>();
     } else {
       scratch_ = std::move(tls_scratch_pool.back());
       tls_scratch_pool.pop_back();
     }
-    scratch_->Reset(cap);
+    scratch_->FreeAll();
   }
   ~VecScratchLease() { tls_scratch_pool.push_back(std::move(scratch_)); }
   VecScratchLease(const VecScratchLease&) = delete;
@@ -571,105 +563,21 @@ Status Executor::EvalPredicateChunk(const Expr& expr, size_t slot,
   }
 }
 
-Status Executor::ScanSlotVectorized(
-    const SelectStmt& stmt, ScopeStack& stack, Scope& scope, size_t slot,
-    const RowCallback& on_row, bool* stopped,
-    PlanNodeStats* node) {
+Status Executor::FilterChunks(const SelectStmt& stmt, ScopeStack& stack,
+                              Scope& scope, size_t slot,
+                              const std::vector<size_t>* row_ids,
+                              const RowCallback& on_row, bool* stopped,
+                              PlanNodeStats* node) {
   const Table* table = stmt.from[slot].table;
-  const SlotPlan& sp = stmt.slot_plans[slot];
-
-  // Access path from the plan annotation (no per-scan equality collection).
-  const std::vector<size_t>* row_ids = nullptr;
-  if (sp.index != nullptr) {
-    ++stats_->index_lookups;
-    // Probe with a non-owning view over stack values: the per-match rule
-    // queries do one of these per execution, and the owned-IndexKey vector
-    // allocation was visible in their profile.
-    constexpr size_t kInlineKeyCols = 8;
-    Value key_vals[kInlineKeyCols];
-    const Value* key_ptrs[kInlineKeyCols];
-    if (sp.key_exprs.size() <= kInlineKeyCols) {
-      for (size_t i = 0; i < sp.key_exprs.size(); ++i) {
-        P3PDB_ASSIGN_OR_RETURN(key_vals[i], Eval(*sp.key_exprs[i], stack));
-        key_ptrs[i] = &key_vals[i];
-      }
-      row_ids = sp.index->Lookup(IndexKeyView{key_ptrs, sp.key_exprs.size()});
-    } else {
-      IndexKey key;
-      key.values.reserve(sp.key_exprs.size());
-      for (const Expr* key_expr : sp.key_exprs) {
-        P3PDB_ASSIGN_OR_RETURN(Value v, Eval(*key_expr, stack));
-        key.values.push_back(std::move(v));
-      }
-      row_ids = sp.index->Lookup(key);
-    }
-    if (row_ids == nullptr) return Status::OK();
-  } else {
-    ++stats_->full_scans;
-  }
-
-  if (!sp.vector_filter) {
-    // Outer slot or no WHERE: identical row-at-a-time loop to the scalar
-    // path (per-row early-out stays exact), annotation-driven access path.
-    if (row_ids != nullptr) {
-      for (size_t row_id : *row_ids) {
-        if (!table->IsLive(row_id)) continue;
-        ++stats_->rows_scanned;
-        if (node != nullptr) ++node->rows;
-        scope.rows[slot] = &table->RowAt(row_id);
-        P3PDB_RETURN_IF_ERROR(
-            EnumerateRows(stmt, stack, scope, slot + 1, on_row, stopped));
-        if (*stopped) break;
-      }
-    } else {
-      for (size_t row_id = 0; row_id < table->SlotCount(); ++row_id) {
-        if (!table->IsLive(row_id)) continue;
-        ++stats_->rows_scanned;
-        if (node != nullptr) ++node->rows;
-        scope.rows[slot] = &table->RowAt(row_id);
-        P3PDB_RETURN_IF_ERROR(
-            EnumerateRows(stmt, stack, scope, slot + 1, on_row, stopped));
-        if (*stopped) break;
-      }
-    }
-    scope.rows[slot] = nullptr;
-    return Status::OK();
-  }
-
-  // Tiny row sources skip the chunk machinery entirely: the match path's
-  // per-policy point lookups position one or two rows, where scratch
-  // leasing and kernel dispatch cost more than they amortize. The row loop
-  // is the scalar innermost loop (filter then emit), which also keeps the
-  // per-row early-out exact for EXISTS consumers of small scans.
-  constexpr size_t kSmallScan = 16;
-  const size_t candidates =
-      row_ids != nullptr ? row_ids->size() : table->SlotCount();
-  if (candidates <= kSmallScan) {
-    for (size_t i = 0; i < candidates && !*stopped; ++i) {
-      const size_t row_id = row_ids != nullptr ? (*row_ids)[i] : i;
-      if (!table->IsLive(row_id)) continue;
-      ++stats_->rows_scanned;
-      if (node != nullptr) ++node->rows;
-      scope.rows[slot] = &table->RowAt(row_id);
-      P3PDB_ASSIGN_OR_RETURN(bool pass, EvalFilter(*stmt.where, stack));
-      if (!pass) continue;
-      P3PDB_ASSIGN_OR_RETURN(bool stop, on_row());
-      if (stop) *stopped = true;
-    }
-    scope.rows[slot] = nullptr;
-    return Status::OK();
-  }
-
-  // Innermost filtered slot: gather → chunk-filter → emit. The WHERE has
-  // not been applied yet for these rows (this slot bypasses the filter in
-  // EnumerateRows' terminal case by emitting directly), so the chunk
-  // verdict is the only filter — exactly EvalFilter's TRUE-only rule.
-  const size_t cap = std::max<uint32_t>(1, config_.chunk_size);
-  VecScratchLease lease(cap);
+  // Gather → chunk-filter → emit. The WHERE has not been applied yet for
+  // these rows (this slot bypasses the filter in EnumerateRows' terminal
+  // case by emitting directly), so the chunk verdict is the only filter —
+  // exactly EvalFilter's TRUE-only rule.
+  VecScratchLease lease;
   VecScratch& scratch = *lease;
   const Expr& where = *stmt.where;
   size_t cursor = 0;  // next table slot (seq scan) or id-list position
-  size_t target = std::min<size_t>(kRampStart, cap);
+  size_t target = kRampStart;
   Status st = Status::OK();
   while (!*stopped) {
     size_t n = 0;
@@ -687,7 +595,7 @@ Status Executor::ScanSlotVectorized(
     if (node != nullptr) node->rows += n;
 
     // Candidate lists can be dominated by dead row slots (version churn in
-    // the policy tables), so the candidate-count cutoff above may still let
+    // the policy tables), so ScanSlot's candidate-count cutoff may still let
     // a ~1-live-row scan through. When the gathered chunk is itself tiny
     // and the source is exhausted, the kernel setup costs more than it
     // saves — filter the gathered rows one at a time instead.
@@ -751,7 +659,7 @@ Status Executor::ScanSlotVectorized(
       }
     }
     if (!st.ok() || *stopped) break;
-    target = std::min<size_t>(target * 4, cap);
+    target = std::min(target * 4, kChunkSize);
   }
   scope.rows[slot] = nullptr;
   return st;

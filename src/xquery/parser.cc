@@ -110,7 +110,19 @@ class Parser {
     return std::string(text_.substr(start, pos_ - start));
   }
 
+  // Every nesting level passes through here once (see kMaxConditionDepth).
   Result<Cond> ParseOr() {
+    if (depth_ == kMaxConditionDepth) {
+      return Error("condition nested deeper than " +
+                   std::to_string(kMaxConditionDepth) + " levels");
+    }
+    ++depth_;
+    Result<Cond> cond = ParseOrList();
+    --depth_;
+    return cond;
+  }
+
+  Result<Cond> ParseOrList() {
     P3PDB_ASSIGN_OR_RETURN(Cond first, ParseAnd());
     if (!PeekWord("or")) return first;
     Cond cond;
@@ -184,6 +196,7 @@ class Parser {
 
   std::string_view text_;
   size_t pos_ = 0;
+  int depth_ = 0;  // open ParseOr levels
 };
 
 }  // namespace

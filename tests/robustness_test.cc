@@ -9,6 +9,7 @@
 #include "p3p/compact.h"
 #include "p3p/policy_xml.h"
 #include "p3p/reference_file.h"
+#include "sqldb/database.h"
 #include "sqldb/parser.h"
 #include "workload/paper_examples.h"
 #include "xml/parser.h"
@@ -169,6 +170,75 @@ TEST(XmlDepthTest, NestingBudgetIs256Elements) {
   auto past_budget = xml::Parse(NestedElements(257));
   ASSERT_FALSE(past_budget.ok());
   EXPECT_EQ(past_budget.status().code(), StatusCode::kParseError);
+}
+
+std::string Repeat(std::string_view piece, size_t n) {
+  std::string out;
+  out.reserve(piece.size() * n);
+  for (size_t i = 0; i < n; ++i) out += piece;
+  return out;
+}
+
+/// A SELECT whose WHERE nests `levels` expression levels deep: the WHERE
+/// expression itself is level 1, and each parenthesis adds one.
+std::string SqlNestedParens(size_t levels) {
+  return "SELECT a FROM t WHERE " + Repeat("(", levels - 1) + "a = 1" +
+         Repeat(")", levels - 1);
+}
+
+std::string SqlNotChain(size_t n) {
+  return "SELECT a FROM t WHERE " + Repeat("NOT ", n) + "a = 1";
+}
+
+std::string SqlNestedExists(size_t n) {
+  return "SELECT a FROM t WHERE " +
+         Repeat("EXISTS (SELECT a FROM t WHERE ", n) + "a = 1" +
+         Repeat(")", n);
+}
+
+std::string XQueryNestedParens(size_t n) {
+  return "if (document(\"p\")[" + Repeat("(", n) + "POLICY" +
+         Repeat(")", n) + "]) then <block/>";
+}
+
+void ExpectParseError(const Status& st) {
+  ASSERT_FALSE(st.ok());
+  EXPECT_EQ(st.code(), StatusCode::kParseError) << st;
+}
+
+TEST(SqlDepthTest, DeepParenthesesAreAParseErrorNotAStackOverflow) {
+  ExpectParseError(sqldb::ParseStatement(SqlNestedParens(100000)).status());
+}
+
+TEST(SqlDepthTest, DeepNotChainIsAParseErrorNotAStackOverflow) {
+  ExpectParseError(sqldb::ParseStatement(SqlNotChain(100000)).status());
+}
+
+TEST(SqlDepthTest, DeepExistsNestingIsAParseErrorNotAStackOverflow) {
+  ExpectParseError(sqldb::ParseStatement(SqlNestedExists(100000)).status());
+}
+
+TEST(SqlDepthTest, NestingBudgetIsKMaxExpressionDepthLevels) {
+  const size_t budget = sqldb::kMaxExpressionDepth;
+  auto at_budget = sqldb::ParseStatement(SqlNestedParens(budget));
+  EXPECT_TRUE(at_budget.ok()) << at_budget.status();
+  ExpectParseError(
+      sqldb::ParseStatement(SqlNestedParens(budget + 1)).status());
+}
+
+TEST(SqlDepthTest, DatabaseStillAnswersAfterRejectingDeepInput) {
+  sqldb::Database db;
+  ASSERT_TRUE(db.ExecuteScript("CREATE TABLE t (a INTEGER);"
+                               "INSERT INTO t VALUES (1);")
+                  .ok());
+  ExpectParseError(db.Execute(SqlNestedExists(100000)).status());
+  auto after = db.Execute("SELECT a FROM t WHERE a = 1");
+  ASSERT_TRUE(after.ok()) << after.status();
+  EXPECT_EQ(after.value().rows.size(), 1u);
+}
+
+TEST(XQueryDepthTest, DeepParenthesesAreAParseErrorNotAStackOverflow) {
+  ExpectParseError(xquery::ParseQuery(XQueryNestedParens(100000)).status());
 }
 
 }  // namespace

@@ -356,8 +356,7 @@ TEST_F(SqldbTest, SecondaryIndexUsedForCorrelatedSubquery) {
   // The planner decorrelates this EXISTS into a hash semi-join; turn it off
   // to pin the correlated access path itself (one index probe per outer
   // row), which remains the fallback for non-rewritable subqueries.
-  Database db(Database::Options{.enable_planner = false,
-                                .enable_plan_cache = false});
+  Database db(Database::Options{.enable_planner = false});
   ASSERT_TRUE(db.ExecuteScript(
                     "CREATE TABLE p (id INTEGER, PRIMARY KEY (id));"
                     "CREATE TABLE s (pid INTEGER, v INTEGER);"
@@ -448,6 +447,69 @@ TEST_F(SqldbTest, ExistsEarlyOutScansAtMostOneMatch) {
   EXPECT_EQ(r.rows.size(), 1u);
   // Early-out: must not scan all 100 rows.
   EXPECT_LE(db_.stats().rows_scanned, 1u);
+}
+
+TEST(SqldbExistsInAggregateTest, RunsUnderEverySetting) {
+  // An EXISTS inside an aggregate's argument runs once per input row through
+  // the executor's scan, which reads the planner's access paths, so the
+  // planner must annotate subqueries under aggregates too. The correlated
+  // one probes u_k; the uncorrelated one scans 40 rows, in chunks when
+  // vectorization is on.
+  for (bool vectorized : {false, true}) {
+    for (bool cost_model : {false, true}) {
+      SCOPED_TRACE(::testing::Message() << "vectorized=" << vectorized
+                                        << " cost_model=" << cost_model);
+      Database db(Database::Options{.enable_cost_model = cost_model,
+                                    .enable_vectorized_executor = vectorized});
+      ASSERT_TRUE(db.ExecuteScript("CREATE TABLE t (a INTEGER, b INTEGER);"
+                                   "CREATE TABLE u (k INTEGER, v INTEGER);"
+                                   "CREATE INDEX u_k ON u (k);")
+                      .ok());
+      for (int i = 0; i < 10; ++i) {
+        ASSERT_TRUE(
+            db.InsertRow("t", {Value::Integer(i), Value::Integer(i / 5)})
+                .ok());
+      }
+      for (int i = 0; i < 40; ++i) {
+        ASSERT_TRUE(
+            db.InsertRow("u", {Value::Integer(i % 5), Value::Integer(i)})
+                .ok());
+      }
+      db.ResetStats();
+
+      auto count =
+          db.Execute("SELECT COUNT(EXISTS (SELECT * FROM u)) FROM t");
+      ASSERT_TRUE(count.ok()) << count.status();
+      ASSERT_EQ(count.value().rows.size(), 1u);
+      EXPECT_EQ(count.value().rows[0][0].AsInteger(), 10);
+
+      auto grouped = db.Execute(
+          "SELECT b, MAX(EXISTS (SELECT * FROM u WHERE u.k = t.a)), "
+          "MIN(EXISTS (SELECT * FROM u WHERE u.k = t.a)), "
+          "COUNT(EXISTS (SELECT * FROM u WHERE u.v >= 20)) "
+          "FROM t GROUP BY b ORDER BY 1");
+      ASSERT_TRUE(grouped.ok()) << grouped.status();
+      const std::vector<Row>& rows = grouped.value().rows;
+      ASSERT_EQ(rows.size(), 2u);
+      // b = 0 holds a = 0..4, every one a u.k; b = 1 holds a = 5..9, none.
+      EXPECT_EQ(rows[0][0].AsInteger(), 0);
+      EXPECT_TRUE(rows[0][1].AsBoolean());
+      EXPECT_TRUE(rows[0][2].AsBoolean());
+      EXPECT_EQ(rows[0][3].AsInteger(), 5);
+      EXPECT_EQ(rows[1][0].AsInteger(), 1);
+      EXPECT_FALSE(rows[1][1].AsBoolean());
+      EXPECT_FALSE(rows[1][2].AsBoolean());
+      EXPECT_EQ(rows[1][3].AsInteger(), 5);
+
+      const ExecStats stats = db.stats();
+      EXPECT_GT(stats.index_lookups, 0u);
+      if (vectorized) {
+        EXPECT_GT(stats.batches, 0u);
+      } else {
+        EXPECT_EQ(stats.batches, 0u);
+      }
+    }
+  }
 }
 
 TEST_F(SqldbTest, QueryResultToStringRendersTable) {

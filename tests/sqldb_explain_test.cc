@@ -95,8 +95,7 @@ TEST(ExplainTest, NonEqualityPredicateCannotUseIndex) {
 TEST(ExplainTest, CorrelatedSubqueryShowsIndexProbe) {
   // Planner off: pins the correlated fallback plan (re-executed subquery
   // probing the secondary index), which non-rewritable EXISTS still use.
-  Database db(Database::Options{.enable_planner = false,
-                                .enable_plan_cache = false});
+  Database db(Database::Options{.enable_planner = false});
   ASSERT_TRUE(db.ExecuteScript(
                     "CREATE TABLE p (id INTEGER, PRIMARY KEY (id));"
                     "CREATE TABLE s (pid INTEGER);"
@@ -513,6 +512,42 @@ TEST(ExplainAnalyzeTest, VectorizedScanReportsBatchActuals) {
   std::string scalar_plan = AnalyzePlan(&scalar, sql);
   EXPECT_EQ(scalar_plan.find("batches="), std::string::npos) << scalar_plan;
   EXPECT_EQ(StripActuals(scalar_plan), StripActuals(plan));
+}
+
+TEST(ExplainAnalyzeTest, ExistsInsideAggregateRunsUnderEverySetting) {
+  // EXPLAIN ANALYZE executes the EXISTS under COUNT once per row of t,
+  // through scans the planner annotated; the structural plan matches EXPLAIN
+  // under every executor setting.
+  const std::string sql =
+      "SELECT COUNT(EXISTS (SELECT * FROM u WHERE u.k = t.a)), "
+      "COUNT(EXISTS (SELECT * FROM u WHERE u.v >= 20)) FROM t";
+  for (bool vectorized : {false, true}) {
+    for (bool cost_model : {false, true}) {
+      SCOPED_TRACE(::testing::Message() << "vectorized=" << vectorized
+                                        << " cost_model=" << cost_model);
+      Database db(Database::Options{.enable_cost_model = cost_model,
+                                    .enable_vectorized_executor = vectorized});
+      ASSERT_TRUE(db.ExecuteScript("CREATE TABLE t (a INTEGER);"
+                                   "CREATE TABLE u (k INTEGER, v INTEGER);"
+                                   "CREATE INDEX u_k ON u (k);")
+                      .ok());
+      for (int i = 0; i < 10; ++i) {
+        ASSERT_TRUE(db.InsertRow("t", {Value::Integer(i)}).ok());
+      }
+      for (int i = 0; i < 40; ++i) {
+        ASSERT_TRUE(
+            db.InsertRow("u", {Value::Integer(i % 5), Value::Integer(i)})
+                .ok());
+      }
+      const std::string plan = Plan(&db, sql);
+      EXPECT_NE(plan.find("scan t (seq scan)"), std::string::npos) << plan;
+      const std::string analyzed = AnalyzePlan(&db, sql);
+      EXPECT_NE(analyzed.find("select (actual rows=1 loops=1"),
+                std::string::npos)
+          << analyzed;
+      EXPECT_EQ(StripActuals(analyzed), plan);
+    }
+  }
 }
 
 TEST(ExplainAnalyzeTest, AnnotatesBoundParameterValues) {

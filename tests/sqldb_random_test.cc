@@ -9,6 +9,7 @@
 #include <filesystem>
 #include <fstream>
 #include <functional>
+#include <memory>
 #include <optional>
 #include <set>
 
@@ -315,13 +316,10 @@ TEST_P(SqldbRandomTest, PlannerEquivalenceDifferential) {
   const uint64_t seed = GetParam();
   Random rng(seed * 7919 + 1);
   Database none(Database::Options{.enable_planner = false,
-                                  .enable_plan_cache = false,
                                   .enable_cost_model = false});
   Database rule(Database::Options{.enable_planner = true,
-                                  .enable_plan_cache = true,
                                   .enable_cost_model = false});
   Database cost(Database::Options{.enable_planner = true,
-                                  .enable_plan_cache = true,
                                   .enable_cost_model = true});
   Database* dbs[] = {&none, &rule, &cost};
   const char* schema =
@@ -421,33 +419,60 @@ TEST_P(SqldbRandomTest, PlannerEquivalenceDifferential) {
             rule_stats.semi_join_rewrites + rule_stats.anti_join_rewrites);
 }
 
-// Vectorized-executor differential: the same generated battery (scalar
-// predicates, rewritable and non-rewritable EXISTS) runs on a vectorized
-// database and a scalar-executor database and must return identical rows in
-// identical order — chunked scans, selection-vector kernels, and batched
-// hash-join probes against the row-at-a-time ground truth. The stats
-// assertions prove the vectorized side actually emitted batches (a cutoff
-// that silently routed everything through the scalar loop would pass
-// vacuously) and that the scalar side never did.
+// Vectorized-executor differential, vectorization x cost model x an index
+// on u(k): the same generated battery (scalar predicates, rewritable and
+// non-rewritable EXISTS) runs on eight databases and all must return
+// identical rows in identical order. The ground truth is row-at-a-time
+// filtering over purely syntactic access paths with u unindexed; the others
+// add chunked scans, selection-vector kernels and batched hash-join probes,
+// cost-model access paths (index-vs-seq, EXISTS rewrite vetoes, build
+// ordering), or both. Without u_k the correlated `u.k = a` subqueries that
+// stay correlated are 50-row scans through the chunk kernels with
+// outer-scope refs; with it, those whose rewrite the cost model vetoes
+// become u_k probes. The stats assertions prove the vectorized side
+// actually emitted batches (a cutoff that silently routed everything
+// through the row loop would pass vacuously) and that the scalar side never
+// did.
 TEST_P(SqldbRandomTest, VectorizedEquivalenceDifferential) {
   Random rng(GetParam() * 104729 + 3);
-  Database vec(Database::Options{.enable_planner = true,
-                                 .enable_plan_cache = true,
-                                 .enable_vectorized_executor = true});
-  Database scalar(Database::Options{.enable_planner = true,
-                                    .enable_plan_cache = true,
-                                    .enable_vectorized_executor = false});
-  const char* schema =
-      "CREATE TABLE t (a INTEGER, b INTEGER, c VARCHAR(4));"
-      "CREATE TABLE u (k INTEGER, v INTEGER, w VARCHAR(4));"
-      "CREATE TABLE s (m INTEGER, n INTEGER);";
-  ASSERT_TRUE(vec.ExecuteScript(schema).ok());
-  ASSERT_TRUE(scalar.ExecuteScript(schema).ok());
+  struct Mode {
+    bool index_u_k;
+    bool vectorized;
+    bool cost_model;
+  };
+  std::vector<Mode> modes;
+  for (bool index_u_k : {false, true}) {
+    for (bool vectorized : {false, true}) {
+      for (bool cost_model : {false, true}) {
+        modes.push_back({index_u_k, vectorized, cost_model});
+      }
+    }
+  }
+  auto describe = [](const Mode& m) {
+    return ::testing::Message() << "u_k=" << m.index_u_k
+                                << " vectorized=" << m.vectorized
+                                << " cost_model=" << m.cost_model;
+  };
+  std::vector<std::unique_ptr<Database>> dbs;
+  for (const Mode& m : modes) {
+    dbs.push_back(std::make_unique<Database>(
+        Database::Options{.enable_planner = true,
+                          .enable_cost_model = m.cost_model,
+                          .enable_vectorized_executor = m.vectorized}));
+    ASSERT_TRUE(dbs.back()
+                    ->ExecuteScript(
+                        "CREATE TABLE t (a INTEGER, b INTEGER, c VARCHAR(4));"
+                        "CREATE TABLE u (k INTEGER, v INTEGER, w VARCHAR(4));"
+                        "CREATE TABLE s (m INTEGER, n INTEGER);")
+                    .ok());
+    if (m.index_u_k) {
+      ASSERT_TRUE(dbs.back()->ExecuteScript("CREATE INDEX u_k ON u (k);").ok());
+    }
+  }
 
   static const char* texts[] = {"x", "y", "z", "w", "xz", "xyz"};
-  auto insert_both = [&](const char* table, Row row) {
-    ASSERT_TRUE(vec.InsertRow(table, row).ok());
-    ASSERT_TRUE(scalar.InsertRow(table, std::move(row)).ok());
+  auto insert_all = [&](const char* table, const Row& row) {
+    for (auto& db : dbs) ASSERT_TRUE(db->InsertRow(table, row).ok());
   };
   auto maybe_null_int = [&](double p_null, int64_t hi) {
     return rng.Bernoulli(p_null) ? Value::Null()
@@ -461,7 +486,7 @@ TEST_P(SqldbRandomTest, VectorizedEquivalenceDifferential) {
     row.push_back(maybe_null_int(0.25, 5));
     row.push_back(rng.Bernoulli(0.2) ? Value::Null()
                                      : Value::Text(texts[rng.Uniform(6)]));
-    insert_both("t", std::move(row));
+    insert_all("t", row);
   }
   for (int i = 0; i < 50; ++i) {
     Row row;
@@ -469,13 +494,13 @@ TEST_P(SqldbRandomTest, VectorizedEquivalenceDifferential) {
     row.push_back(maybe_null_int(0.25, 5));
     row.push_back(rng.Bernoulli(0.3) ? Value::Null()
                                      : Value::Text(texts[rng.Uniform(6)]));
-    insert_both("u", std::move(row));
+    insert_all("u", row);
   }
   for (int i = 0; i < 15; ++i) {
     Row row;
     row.push_back(maybe_null_int(0.25, 5));
     row.push_back(maybe_null_int(0.25, 3));
-    insert_both("s", std::move(row));
+    insert_all("s", row);
   }
 
   PredicateGen scalar_gen(&rng);
@@ -493,20 +518,29 @@ TEST_P(SqldbRandomTest, VectorizedEquivalenceDifferential) {
       }
     }
     const std::string sql = "SELECT a, b, c FROM t WHERE " + where;
-    auto v = vec.Execute(sql);
-    auto s = scalar.Execute(sql);
-    ASSERT_TRUE(v.ok()) << v.status() << "\n" << sql;
-    ASSERT_TRUE(s.ok()) << s.status() << "\n" << sql;
-    ASSERT_EQ(v.value().ToString(), s.value().ToString()) << sql;
+    auto truth = dbs[0]->Execute(sql);
+    ASSERT_TRUE(truth.ok()) << truth.status() << "\n" << sql;
+    for (size_t i = 1; i < dbs.size(); ++i) {
+      auto r = dbs[i]->Execute(sql);
+      ASSERT_TRUE(r.ok()) << r.status() << "\n" << sql;
+      ASSERT_EQ(r.value().ToString(), truth.value().ToString())
+          << describe(modes[i]) << "\n"
+          << sql;
+    }
   }
 
-  const ExecStats vec_stats = vec.stats();
-  const ExecStats scalar_stats = scalar.stats();
-  EXPECT_GT(vec_stats.batches, 0u);
-  EXPECT_GT(vec_stats.batch_rows, 0u);
-  EXPECT_GT(vec_stats.vectorized_filters, 0u);
-  EXPECT_EQ(scalar_stats.batches, 0u);
-  EXPECT_EQ(scalar_stats.vectorized_filters, 0u);
+  for (size_t i = 0; i < dbs.size(); ++i) {
+    SCOPED_TRACE(describe(modes[i]));
+    const ExecStats stats = dbs[i]->stats();
+    if (modes[i].vectorized) {
+      EXPECT_GT(stats.batches, 0u);
+      EXPECT_GT(stats.batch_rows, 0u);
+      EXPECT_GT(stats.vectorized_filters, 0u);
+    } else {
+      EXPECT_EQ(stats.batches, 0u);
+      EXPECT_EQ(stats.vectorized_filters, 0u);
+    }
+  }
 }
 
 TEST_P(SqldbRandomTest, DistinctAndOrderByAgreeWithBruteForce) {

@@ -3,10 +3,20 @@
 
 #include <gtest/gtest.h>
 
+#include <set>
+#include <string>
+
 #include "sqldb/database.h"
 
 namespace p3pdb::sqldb {
 namespace {
+
+/// The first column of `result`, one value per line.
+std::string Column(const QueryResult& result) {
+  std::string out;
+  for (const Row& row : result.rows) out += row[0].ToString() + "\n";
+  return out;
+}
 
 class UpdateTest : public ::testing::Test {
  protected:
@@ -113,6 +123,85 @@ TEST_F(UpdateTest, CorrelatedSubqueryInWhere) {
                   .ok());
   EXPECT_EQ(Count("v = 'marked'"), 1);
   EXPECT_EQ(Count("v = 'marked' AND k = 2"), 1);
+
+  // The same shape over wider tables, under every executor setting: an
+  // UPDATE and a DELETE whose WHERE holds a correlated EXISTS. The
+  // subquery's access path is planned like any SELECT's: an index lookup on
+  // marks(tag), which the cost model overrides with a sequential scan (tag
+  // has two values), each filtered row at a time or, with vectorization
+  // on, in chunks (30+ candidates). All four must pick the same victims.
+  std::set<int64_t> marked;    // t.k with a tag-1 mark
+  std::set<int64_t> tagged_0;  // t.k with a tag-0 mark
+  std::string marks_rows;
+  for (int64_t i = 0; i < 60; ++i) {
+    const int64_t k = (i * 7) % 40 + 1;
+    (i % 2 == 1 ? marked : tagged_0).insert(k);
+    marks_rows += (i == 0 ? "" : ", ") + std::string("(") +
+                  std::to_string(k) + ", " + std::to_string(i % 2) + ")";
+  }
+  std::string t_rows;
+  std::string expect_marked;
+  std::string expect_kept;
+  int64_t n_marked = 0;
+  int64_t n_kept = 0;
+  for (int64_t k = 1; k <= 30; ++k) {
+    t_rows += (k == 1 ? "" : ", ") + std::string("(") + std::to_string(k) +
+              ", 'a', " + std::to_string(k) + ")";
+    if (marked.count(k) != 0) {
+      expect_marked += std::to_string(k) + "\n";
+      ++n_marked;
+    }
+    if (tagged_0.count(k) != 0) {
+      expect_kept += std::to_string(k) + "\n";
+      ++n_kept;
+    }
+  }
+  for (bool vectorized : {false, true}) {
+    for (bool cost_model : {false, true}) {
+      SCOPED_TRACE(::testing::Message() << "vectorized=" << vectorized
+                                        << " cost_model=" << cost_model);
+      Database db(Database::Options{.enable_cost_model = cost_model,
+                                    .enable_vectorized_executor = vectorized});
+      ASSERT_TRUE(db.ExecuteScript(
+                        "CREATE TABLE t (k INTEGER NOT NULL, v VARCHAR(10), "
+                        "n INTEGER, PRIMARY KEY (k));"
+                        "CREATE TABLE marks (k INTEGER, tag INTEGER);"
+                        "CREATE INDEX marks_tag ON marks (tag);"
+                        "INSERT INTO t VALUES " + t_rows + ";"
+                        "INSERT INTO marks VALUES " + marks_rows + ";")
+                      .ok());
+      auto updated = db.Execute(
+          "UPDATE t SET v = 'marked' WHERE EXISTS (SELECT * FROM marks "
+          "WHERE marks.k = t.k AND marks.tag = 1)");
+      ASSERT_TRUE(updated.ok()) << updated.status();
+      EXPECT_EQ(updated.value().rows_affected, n_marked);
+      auto got_marked =
+          db.Execute("SELECT k FROM t WHERE v = 'marked' ORDER BY k");
+      ASSERT_TRUE(got_marked.ok()) << got_marked.status();
+      EXPECT_EQ(Column(got_marked.value()), expect_marked);
+
+      auto deleted = db.Execute(
+          "DELETE FROM t WHERE NOT EXISTS (SELECT * FROM marks "
+          "WHERE marks.k = t.k AND marks.tag = 0)");
+      ASSERT_TRUE(deleted.ok()) << deleted.status();
+      EXPECT_EQ(deleted.value().rows_affected, 30 - n_kept);
+      auto kept = db.Execute("SELECT k FROM t ORDER BY k");
+      ASSERT_TRUE(kept.ok()) << kept.status();
+      EXPECT_EQ(Column(kept.value()), expect_kept);
+
+      const ExecStats stats = db.stats();
+      if (vectorized) {
+        EXPECT_GT(stats.batches, 0u);
+      } else {
+        EXPECT_EQ(stats.batches, 0u);
+      }
+      if (cost_model) {
+        EXPECT_EQ(stats.index_lookups, 0u);
+      } else {
+        EXPECT_GT(stats.index_lookups, 0u);
+      }
+    }
+  }
 }
 
 }  // namespace
