@@ -716,26 +716,53 @@ Result<QueryResult> Database::ExecuteInsert(InsertStmt* stmt) {
     }
   }
 
-  ExecStats local;
-  Executor executor(&local);
-  int64_t inserted = 0;
-  for (const std::vector<ExprPtr>& value_exprs : stmt->rows) {
-    if (value_exprs.size() != ordinals.size()) {
-      return Status::InvalidArgument(
-          "INSERT has " + std::to_string(value_exprs.size()) +
-          " values for " + std::to_string(ordinals.size()) + " columns");
+  // The VALUES expressions bind as the items of a FROM-less probe SELECT,
+  // so an EXISTS among them scans bound tables along planned access paths.
+  // They are moved back before returning, as in FindDmlVictims.
+  SelectStmt probe;
+  for (std::vector<ExprPtr>& value_exprs : stmt->rows) {
+    for (ExprPtr& e : value_exprs) {
+      SelectItem item;
+      item.expr = std::move(e);
+      probe.items.push_back(std::move(item));
     }
-    Row row(schema.ColumnCount(), Value::Null());
-    for (size_t i = 0; i < value_exprs.size(); ++i) {
-      P3PDB_ASSIGN_OR_RETURN(Value v, executor.EvalConstant(*value_exprs[i]));
-      row[ordinals[i]] = std::move(v);
-    }
-    if (options_.enforce_foreign_keys) {
-      P3PDB_RETURN_IF_ERROR(CheckForeignKeys(*table, row));
-    }
-    P3PDB_RETURN_IF_ERROR(table->Insert(std::move(row)));
-    ++inserted;
   }
+  ExecStats local;
+  int64_t inserted = 0;
+  auto insert_rows = [&]() -> Status {
+    Binder binder(*this, options_.max_subquery_depth);
+    P3PDB_RETURN_IF_ERROR(binder.BindSelect(&probe));
+    AnnotateSelect(&probe,
+                   options_.enable_cost_model ? &stats_catalog_ : nullptr);
+    Executor executor(&local, nullptr, nullptr,
+                      ExecConfig{options_.enable_vectorized_executor});
+    size_t item = 0;
+    for (const std::vector<ExprPtr>& value_exprs : stmt->rows) {
+      if (value_exprs.size() != ordinals.size()) {
+        return Status::InvalidArgument(
+            "INSERT has " + std::to_string(value_exprs.size()) +
+            " values for " + std::to_string(ordinals.size()) + " columns");
+      }
+      Row row(schema.ColumnCount(), Value::Null());
+      for (size_t i = 0; i < value_exprs.size(); ++i) {
+        P3PDB_ASSIGN_OR_RETURN(
+            Value v, executor.EvalConstant(*probe.items[item++].expr));
+        row[ordinals[i]] = std::move(v);
+      }
+      if (options_.enforce_foreign_keys) {
+        P3PDB_RETURN_IF_ERROR(CheckForeignKeys(*table, row));
+      }
+      P3PDB_RETURN_IF_ERROR(table->Insert(std::move(row)));
+      ++inserted;
+    }
+    return Status::OK();
+  };
+  Status st = insert_rows();
+  size_t item = 0;
+  for (std::vector<ExprPtr>& value_exprs : stmt->rows) {
+    for (ExprPtr& e : value_exprs) e = std::move(probe.items[item++].expr);
+  }
+  P3PDB_RETURN_IF_ERROR(st);
   ++local.statements_executed;
   LocalStats().MergeSingleWriter(local);
   QueryResult result;

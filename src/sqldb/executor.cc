@@ -29,18 +29,85 @@ const PlanNodeStats* PlanProfile::FindHashJoin(const Expr* join) const {
 
 namespace {
 
-Result<Value> ThreeValuedNot(const Value& v) {
-  if (v.is_null()) return Value::Null();
-  if (v.type() != ValueType::kBoolean) {
-    return Status::InvalidArgument("NOT applied to non-boolean");
+Truth Not(Truth t) {
+  switch (t) {
+    case Truth::kFalse:
+      return Truth::kTrue;
+    case Truth::kTrue:
+      return Truth::kFalse;
+    default:
+      return t;
   }
-  return Value::Boolean(!v.AsBoolean());
 }
 
-/// The values of one index or hash-set probe key, held on the stack for the
-/// common narrow keys and spilled to the heap only for very wide ones. Probes
-/// pass a non-owning IndexKeyView: the match path probes once per scan or
-/// outer row, and an owned IndexKey would allocate every time.
+Truth TruthOf(bool b) { return b ? Truth::kTrue : Truth::kFalse; }
+
+/// A value read as a predicate verdict.
+Truth TruthOf(const Value& v) {
+  switch (v.type()) {
+    case ValueType::kNull:
+      return Truth::kNull;
+    case ValueType::kBoolean:
+      return TruthOf(v.AsBoolean());
+    default:
+      return Truth::kNotBoolean;
+  }
+}
+
+template <typename T>
+bool Holds(CompareOp op, const T& a, const T& b) {
+  switch (op) {
+    case CompareOp::kEq:
+      return a == b;
+    case CompareOp::kNe:
+      return !(a == b);
+    case CompareOp::kLt:
+      return a < b;
+    case CompareOp::kGt:
+      return b < a;
+    case CompareOp::kLe:
+      return !(b < a);
+    case CompareOp::kGe:
+      return !(a < b);
+  }
+  return false;
+}
+
+/// `a op b` under three-valued logic. Integer and text operands of equal
+/// type answer inline; every other pair goes through Value::CompareEq /
+/// CompareLt, which own the type rules and their error text (`>` and `<=`
+/// ask CompareLt with the operands swapped, so errors name them in that
+/// order).
+Status Compare(CompareOp op, const Value& a, const Value& b, Truth* out) {
+  const ValueType type = a.type();
+  if (type == b.type()) {
+    if (type == ValueType::kInteger) {
+      *out = TruthOf(Holds(op, a.AsInteger(), b.AsInteger()));
+      return Status::OK();
+    }
+    if (type == ValueType::kText) {
+      *out = TruthOf(Holds(op, a.AsText(), b.AsText()));
+      return Status::OK();
+    }
+  }
+  const bool swapped = op == CompareOp::kGt || op == CompareOp::kLe;
+  const bool negated =
+      op == CompareOp::kNe || op == CompareOp::kLe || op == CompareOp::kGe;
+  Result<Value> v = op == CompareOp::kEq || op == CompareOp::kNe
+                        ? Value::CompareEq(a, b)
+                        : swapped ? Value::CompareLt(b, a)
+                                  : Value::CompareLt(a, b);
+  if (!v.ok()) return v.status();
+  *out = TruthOf(v.value());
+  if (negated) *out = Not(*out);
+  return Status::OK();
+}
+
+/// The values of one index or hash-set probe key: pointers to operands read
+/// in place (see Executor::Operand), with scratch storage on the stack for
+/// the common narrow keys, spilling to the heap only for very wide ones.
+/// Probes pass a non-owning IndexKeyView: the match path probes once per
+/// scan or outer row, and an owned IndexKey would allocate every time.
 class ProbeKey {
  public:
   explicit ProbeKey(size_t width) {
@@ -54,12 +121,10 @@ class ProbeKey {
   ProbeKey(const ProbeKey&) = delete;
   ProbeKey& operator=(const ProbeKey&) = delete;
 
-  /// Stores component `i` and returns it.
-  const Value& Set(size_t i, Value v) {
-    vals_[i] = std::move(v);
-    ptrs_[i] = &vals_[i];
-    return vals_[i];
-  }
+  /// Storage for component `i` when its operand is not read in place.
+  Value* scratch(size_t i) { return &vals_[i]; }
+  /// Where component `i` points.
+  const Value** component(size_t i) { return &ptrs_[i]; }
   /// The first `n` components.
   IndexKeyView View(size_t n) const { return IndexKeyView{ptrs_, n}; }
 
@@ -77,48 +142,49 @@ class ProbeKey {
 
 bool SqlLikeMatch(std::string_view text, std::string_view pattern,
                   char escape_char) {
-  // Compile the pattern into tokens so escapes become plain literals, then
-  // run the classic two-pointer wildcard match with backtracking on '%'.
-  enum class TokKind { kLiteral, kAnyRun, kAnyOne };
-  struct Tok {
-    TokKind kind;
-    char c;
-  };
-  std::vector<Tok> toks;
-  toks.reserve(pattern.size());
-  for (size_t i = 0; i < pattern.size(); ++i) {
-    char c = pattern[i];
-    if (escape_char != '\0' && c == escape_char && i + 1 < pattern.size()) {
-      toks.push_back({TokKind::kLiteral, pattern[++i]});
-    } else if (c == '%') {
-      toks.push_back({TokKind::kAnyRun, c});
-    } else if (c == '_') {
-      toks.push_back({TokKind::kAnyOne, c});
-    } else {
-      toks.push_back({TokKind::kLiteral, c});
+  // The classic two-pointer wildcard match with backtracking on '%', walking
+  // the pattern in place. A token is one pattern character, or an escape
+  // and the character it makes literal; an escape as the last character is
+  // itself a literal.
+  enum class Tok { kLiteral, kAnyRun, kAnyOne };
+  char lit = '\0';
+  size_t next = 0;  // pattern position after the token last read
+  auto token_at = [&](size_t pi) {
+    const char c = pattern[pi];
+    if (escape_char != '\0' && c == escape_char && pi + 1 < pattern.size()) {
+      lit = pattern[pi + 1];
+      next = pi + 2;
+      return Tok::kLiteral;
     }
-  }
+    lit = c;
+    next = pi + 1;
+    return c == '%' ? Tok::kAnyRun : c == '_' ? Tok::kAnyOne : Tok::kLiteral;
+  };
 
   size_t ti = 0, pi = 0;
+  // Pattern position just past the last '%', and the text position that
+  // '%' was last retried from.
   size_t star_pi = std::string_view::npos, star_ti = 0;
   while (ti < text.size()) {
-    if (pi < toks.size() && (toks[pi].kind == TokKind::kAnyOne ||
-                             (toks[pi].kind == TokKind::kLiteral &&
-                              toks[pi].c == text[ti]))) {
-      ++ti;
-      ++pi;
-    } else if (pi < toks.size() && toks[pi].kind == TokKind::kAnyRun) {
-      star_pi = pi++;
-      star_ti = ti;
-    } else if (star_pi != std::string_view::npos) {
-      pi = star_pi + 1;
-      ti = ++star_ti;
-    } else {
-      return false;
+    if (pi < pattern.size()) {
+      const Tok tok = token_at(pi);
+      if (tok == Tok::kAnyOne || (tok == Tok::kLiteral && lit == text[ti])) {
+        ++ti;
+        pi = next;
+        continue;
+      }
+      if (tok == Tok::kAnyRun) {
+        pi = star_pi = next;
+        star_ti = ti;
+        continue;
+      }
     }
+    if (star_pi == std::string_view::npos) return false;
+    pi = star_pi;
+    ti = ++star_ti;
   }
-  while (pi < toks.size() && toks[pi].kind == TokKind::kAnyRun) ++pi;
-  return pi == toks.size();
+  while (pi < pattern.size() && token_at(pi) == Tok::kAnyRun) pi = next;
+  return pi == pattern.size();
 }
 
 Result<Value> Executor::EvalConstant(const Expr& expr) {
@@ -152,7 +218,41 @@ Result<Value> Executor::EvalRowExpression(const SelectStmt& stmt,
 Result<Value> Executor::Eval(const Expr& expr, ScopeStack& stack) {
   switch (expr.kind) {
     case ExprKind::kLiteral:
-      return static_cast<const LiteralExpr&>(expr).value;
+    case ExprKind::kParam:
+    case ExprKind::kColumnRef: {
+      Value unused;
+      const Value* v = nullptr;
+      P3PDB_RETURN_IF_ERROR(Operand(expr, stack, &unused, &v));
+      return *v;
+    }
+    case ExprKind::kComparison:
+    case ExprKind::kLogical:
+    case ExprKind::kNot:
+    case ExprKind::kExists:
+    case ExprKind::kHashJoin:
+    case ExprKind::kInList:
+    case ExprKind::kIsNull:
+    case ExprKind::kLike: {
+      Truth t;
+      P3PDB_RETURN_IF_ERROR(EvalPredicate(expr, stack, &t));
+      // Only a non-predicate operand can be kNotBoolean.
+      assert(t != Truth::kNotBoolean);
+      return t == Truth::kNull ? Value::Null()
+                               : Value::Boolean(t == Truth::kTrue);
+    }
+    case ExprKind::kAggregate:
+      return Status::Internal(
+          "aggregate evaluated outside aggregation context");
+  }
+  return Status::Internal("unhandled expression kind");
+}
+
+Status Executor::Operand(const Expr& expr, ScopeStack& stack, Value* scratch,
+                         const Value** out) {
+  switch (expr.kind) {
+    case ExprKind::kLiteral:
+      *out = &static_cast<const LiteralExpr&>(expr).value;
+      return Status::OK();
     case ExprKind::kParam: {
       const auto& param = static_cast<const ParamExpr&>(expr);
       if (params_ == nullptr || param.index >= params_->size()) {
@@ -162,7 +262,8 @@ Result<Value> Executor::Eval(const Expr& expr, ScopeStack& stack) {
             std::to_string(params_ == nullptr ? 0 : params_->size()) +
             " value(s) were supplied");
       }
-      return (*params_)[param.index];
+      *out = &(*params_)[param.index];
+      return Status::OK();
     }
     case ExprKind::kColumnRef: {
       const auto& ref = static_cast<const ColumnRefExpr&>(expr);
@@ -177,122 +278,150 @@ Result<Value> Executor::Eval(const Expr& expr, ScopeStack& stack) {
         return Status::Internal("column '" + ref.ToSql() +
                                 "' read before its table was positioned");
       }
-      return (*row)[ref.column_ordinal];
+      *out = &(*row)[ref.column_ordinal];
+      return Status::OK();
     }
+    default: {
+      P3PDB_ASSIGN_OR_RETURN(*scratch, Eval(expr, stack));
+      *out = scratch;
+      return Status::OK();
+    }
+  }
+}
+
+Status Executor::EvalPredicate(const Expr& expr, ScopeStack& stack,
+                               Truth* out) {
+  switch (expr.kind) {
     case ExprKind::kComparison: {
       const auto& cmp = static_cast<const ComparisonExpr&>(expr);
-      P3PDB_ASSIGN_OR_RETURN(Value left, Eval(*cmp.left, stack));
-      P3PDB_ASSIGN_OR_RETURN(Value right, Eval(*cmp.right, stack));
+      Value left_scratch, right_scratch;
+      const Value* left = nullptr;
+      const Value* right = nullptr;
+      P3PDB_RETURN_IF_ERROR(Operand(*cmp.left, stack, &left_scratch, &left));
+      P3PDB_RETURN_IF_ERROR(
+          Operand(*cmp.right, stack, &right_scratch, &right));
       ++stats_->comparisons;
-      switch (cmp.op) {
-        case CompareOp::kEq:
-          return Value::CompareEq(left, right);
-        case CompareOp::kNe: {
-          P3PDB_ASSIGN_OR_RETURN(Value eq, Value::CompareEq(left, right));
-          return ThreeValuedNot(eq);
-        }
-        case CompareOp::kLt:
-          return Value::CompareLt(left, right);
-        case CompareOp::kGt:
-          return Value::CompareLt(right, left);
-        case CompareOp::kLe: {
-          P3PDB_ASSIGN_OR_RETURN(Value gt, Value::CompareLt(right, left));
-          return ThreeValuedNot(gt);
-        }
-        case CompareOp::kGe: {
-          P3PDB_ASSIGN_OR_RETURN(Value lt, Value::CompareLt(left, right));
-          return ThreeValuedNot(lt);
-        }
-      }
-      return Status::Internal("bad comparison op");
+      return Compare(cmp.op, *left, *right, out);
     }
     case ExprKind::kLogical: {
       const auto& l = static_cast<const LogicalExpr&>(expr);
+      // AND stops at the first FALSE, OR at the first TRUE; otherwise any
+      // NULL operand makes the whole verdict NULL.
+      const Truth decisive = l.is_and ? Truth::kFalse : Truth::kTrue;
       bool saw_null = false;
       for (const ExprPtr& op : l.operands) {
-        P3PDB_ASSIGN_OR_RETURN(Value v, Eval(*op, stack));
-        if (v.is_null()) {
-          saw_null = true;
-          continue;
-        }
-        if (v.type() != ValueType::kBoolean) {
+        Truth t;
+        P3PDB_RETURN_IF_ERROR(EvalPredicate(*op, stack, &t));
+        if (t == Truth::kNotBoolean) {
           return Status::InvalidArgument(
               "logical operand is not a boolean: " + op->ToSql());
         }
-        if (l.is_and && !v.AsBoolean()) return Value::Boolean(false);
-        if (!l.is_and && v.AsBoolean()) return Value::Boolean(true);
+        if (t == decisive) {
+          *out = decisive;
+          return Status::OK();
+        }
+        if (t == Truth::kNull) saw_null = true;
       }
-      if (saw_null) return Value::Null();
-      return Value::Boolean(l.is_and);
+      *out = saw_null ? Truth::kNull : Not(decisive);
+      return Status::OK();
     }
     case ExprKind::kNot: {
       const auto& n = static_cast<const NotExpr&>(expr);
-      P3PDB_ASSIGN_OR_RETURN(Value v, Eval(*n.operand, stack));
-      return ThreeValuedNot(v);
+      P3PDB_RETURN_IF_ERROR(EvalPredicate(*n.operand, stack, out));
+      if (*out == Truth::kNotBoolean) {
+        return Status::InvalidArgument("NOT applied to non-boolean");
+      }
+      *out = Not(*out);
+      return Status::OK();
     }
     case ExprKind::kExists: {
       const auto& e = static_cast<const ExistsExpr&>(expr);
       P3PDB_ASSIGN_OR_RETURN(bool found, ExistsAnyRow(*e.subquery, stack));
-      return Value::Boolean(e.negated ? !found : found);
+      *out = TruthOf(found != e.negated);
+      return Status::OK();
     }
-    case ExprKind::kHashJoin:
-      return EvalHashJoin(static_cast<const HashJoinExpr&>(expr), stack);
+    case ExprKind::kHashJoin: {
+      P3PDB_ASSIGN_OR_RETURN(
+          bool pass,
+          EvalHashJoin(static_cast<const HashJoinExpr&>(expr), stack));
+      *out = TruthOf(pass);
+      return Status::OK();
+    }
     case ExprKind::kInList: {
       const auto& in = static_cast<const InListExpr&>(expr);
-      P3PDB_ASSIGN_OR_RETURN(Value v, Eval(*in.operand, stack));
+      Value operand_scratch, item_scratch;
+      const Value* v = nullptr;
+      P3PDB_RETURN_IF_ERROR(Operand(*in.operand, stack, &operand_scratch, &v));
       bool saw_null = false;
       bool found = false;
       for (const ExprPtr& item : in.items) {
-        P3PDB_ASSIGN_OR_RETURN(Value iv, Eval(*item, stack));
-        P3PDB_ASSIGN_OR_RETURN(Value eq, Value::CompareEq(v, iv));
+        const Value* iv = nullptr;
+        P3PDB_RETURN_IF_ERROR(Operand(*item, stack, &item_scratch, &iv));
+        Truth eq;
+        P3PDB_RETURN_IF_ERROR(Compare(CompareOp::kEq, *v, *iv, &eq));
         ++stats_->comparisons;
-        if (eq.is_null()) {
+        if (eq == Truth::kNull) {
           saw_null = true;
-        } else if (eq.AsBoolean()) {
+        } else if (eq == Truth::kTrue) {
           found = true;
           break;
         }
       }
-      Value result = found           ? Value::Boolean(true)
-                     : saw_null      ? Value::Null()
-                                     : Value::Boolean(false);
-      if (in.negated) return ThreeValuedNot(result);
-      return result;
+      *out = found ? Truth::kTrue : saw_null ? Truth::kNull : Truth::kFalse;
+      if (in.negated) *out = Not(*out);
+      return Status::OK();
     }
     case ExprKind::kIsNull: {
       const auto& isn = static_cast<const IsNullExpr&>(expr);
-      P3PDB_ASSIGN_OR_RETURN(Value v, Eval(*isn.operand, stack));
-      bool is_null = v.is_null();
-      return Value::Boolean(isn.negated ? !is_null : is_null);
+      Value scratch;
+      const Value* v = nullptr;
+      P3PDB_RETURN_IF_ERROR(Operand(*isn.operand, stack, &scratch, &v));
+      *out = TruthOf(v->is_null() != isn.negated);
+      return Status::OK();
     }
     case ExprKind::kLike: {
       const auto& lk = static_cast<const LikeExpr&>(expr);
-      P3PDB_ASSIGN_OR_RETURN(Value text, Eval(*lk.operand, stack));
-      P3PDB_ASSIGN_OR_RETURN(Value pattern, Eval(*lk.pattern, stack));
-      if (text.is_null() || pattern.is_null()) return Value::Null();
-      if (text.type() != ValueType::kText ||
-          pattern.type() != ValueType::kText) {
+      Value text_scratch, pattern_scratch;
+      const Value* text = nullptr;
+      const Value* pattern = nullptr;
+      P3PDB_RETURN_IF_ERROR(Operand(*lk.operand, stack, &text_scratch, &text));
+      P3PDB_RETURN_IF_ERROR(
+          Operand(*lk.pattern, stack, &pattern_scratch, &pattern));
+      if (text->is_null() || pattern->is_null()) {
+        *out = Truth::kNull;
+        return Status::OK();
+      }
+      if (text->type() != ValueType::kText ||
+          pattern->type() != ValueType::kText) {
         return Status::InvalidArgument("LIKE requires text operands");
       }
       ++stats_->comparisons;
-      bool matched =
-          SqlLikeMatch(text.AsText(), pattern.AsText(), lk.escape_char);
-      return Value::Boolean(lk.negated ? !matched : matched);
+      const bool matched =
+          SqlLikeMatch(text->AsText(), pattern->AsText(), lk.escape_char);
+      *out = TruthOf(matched != lk.negated);
+      return Status::OK();
     }
-    case ExprKind::kAggregate:
-      return Status::Internal(
-          "aggregate evaluated outside aggregation context");
+    case ExprKind::kLiteral:
+    case ExprKind::kParam:
+    case ExprKind::kColumnRef:
+    case ExprKind::kAggregate: {
+      Value scratch;
+      const Value* v = nullptr;
+      P3PDB_RETURN_IF_ERROR(Operand(expr, stack, &scratch, &v));
+      *out = TruthOf(*v);
+      return Status::OK();
+    }
   }
   return Status::Internal("unhandled expression kind");
 }
 
 Result<bool> Executor::EvalFilter(const Expr& expr, ScopeStack& stack) {
-  P3PDB_ASSIGN_OR_RETURN(Value v, Eval(expr, stack));
-  if (v.is_null()) return false;
-  if (v.type() != ValueType::kBoolean) {
+  Truth t;
+  P3PDB_RETURN_IF_ERROR(EvalPredicate(expr, stack, &t));
+  if (t == Truth::kNotBoolean) {
     return Status::InvalidArgument("WHERE clause is not a boolean");
   }
-  return v.AsBoolean();
+  return t == Truth::kTrue;
 }
 
 Result<bool> Executor::ExistsAnyRow(const SelectStmt& sub, ScopeStack& stack) {
@@ -328,8 +457,8 @@ Result<bool> Executor::ExistsAnyRow(const SelectStmt& sub, ScopeStack& stack) {
   return found;
 }
 
-Result<Value> Executor::EvalHashJoin(const HashJoinExpr& join,
-                                     ScopeStack& stack) {
+Result<bool> Executor::EvalHashJoin(const HashJoinExpr& join,
+                                    ScopeStack& stack) {
   PlanNodeStats* node = nullptr;
   std::chrono::steady_clock::time_point profile_start{};
   if (profile_ != nullptr) {
@@ -337,7 +466,7 @@ Result<Value> Executor::EvalHashJoin(const HashJoinExpr& join,
     ++node->loops;  // loops = probes
     profile_start = std::chrono::steady_clock::now();
   }
-  // Evaluate the probe key in the enclosing scope first: a NULL component
+  // Read the probe key in the enclosing scope first: a NULL component
   // can never equal anything, so the subquery's correlation equality is
   // UNKNOWN for every inner row — EXISTS is false, NOT EXISTS is true —
   // without needing the key set at all.
@@ -345,8 +474,9 @@ Result<Value> Executor::EvalHashJoin(const HashJoinExpr& join,
   size_t nk = 0;
   bool null_key = false;
   for (const ExprPtr& pk : join.probe_keys) {
-    P3PDB_ASSIGN_OR_RETURN(Value v, Eval(*pk, stack));
-    if (key.Set(nk, std::move(v)).is_null()) {
+    P3PDB_RETURN_IF_ERROR(
+        Operand(*pk, stack, key.scratch(nk), key.component(nk)));
+    if ((*key.component(nk))->is_null()) {
       null_key = true;
       break;
     }
@@ -365,7 +495,7 @@ Result<Value> Executor::EvalHashJoin(const HashJoinExpr& join,
                             .count();
     if (found) ++node->rows;  // rows = probe hits
   }
-  return Value::Boolean(join.anti ? !found : found);
+  return found != join.anti;
 }
 
 Result<std::shared_ptr<const HashJoinRuntime::KeySet>> Executor::HashJoinKeySet(
@@ -483,8 +613,8 @@ Status Executor::ScanSlot(const SelectStmt& stmt, ScopeStack& stack,
     const size_t nk = sp.key_exprs.size();
     ProbeKey key(nk);
     for (size_t i = 0; i < nk; ++i) {
-      P3PDB_ASSIGN_OR_RETURN(Value v, Eval(*sp.key_exprs[i], stack));
-      key.Set(i, std::move(v));
+      P3PDB_RETURN_IF_ERROR(Operand(*sp.key_exprs[i], stack, key.scratch(i),
+                                    key.component(i)));
     }
     // By pointer: execution is read-only over the tables (DML never runs
     // concurrently with or within a SELECT), so the id list is stable.

@@ -13,6 +13,7 @@
 #ifndef P3PDB_SQLDB_EXECUTOR_H_
 #define P3PDB_SQLDB_EXECUTOR_H_
 
+#include <cstdint>
 #include <functional>
 #include <map>
 #include <memory>
@@ -96,6 +97,11 @@ struct ExecConfig {
 
 struct VecScratch;  // chunk evaluation arenas, defined in vectorized.cc
 
+/// Verdict of a predicate under SQL three-valued logic. kNotBoolean means
+/// the expression yielded a non-boolean value where a predicate was
+/// expected; each context (WHERE, AND/OR operand, NOT) words its own error.
+enum class Truth : uint8_t { kFalse, kTrue, kNull, kNotBoolean };
+
 /// Non-owning view of a `Result<bool>()` callable. The per-row callbacks of
 /// EnumerateRows are constructed once per scan setup, and the match path
 /// sets up several scans per query — a std::function would heap-allocate
@@ -131,8 +137,8 @@ class Executor {
   /// Runs a bound SELECT and materializes the full result.
   Result<QueryResult> RunSelect(const SelectStmt& stmt);
 
-  /// Evaluates an expression with no row context (INSERT VALUES lists).
-  /// Column references fail.
+  /// Evaluates a bound expression with no row context (INSERT VALUES
+  /// lists, bound by Database::ExecuteInsert). Column references fail.
   Result<Value> EvalConstant(const Expr& expr);
 
   /// Evaluates the WHERE clause of a bound single-table SELECT against one
@@ -200,15 +206,32 @@ class Executor {
     std::vector<Scope*> spill_;
   };
 
+  /// Evaluates any expression to a value. Predicates box the verdict of
+  /// EvalPredicate; projections and aggregate arguments are the callers
+  /// that need the box.
   Result<Value> Eval(const Expr& expr, ScopeStack& stack);
+  /// The one three-valued predicate evaluator: comparisons, AND/OR, NOT,
+  /// [NOT] EXISTS, hash semi/anti-joins, IS [NOT] NULL, LIKE and IN. Leaf
+  /// operands are read in place (see Operand), and verdicts pass between
+  /// nodes unboxed. Any other expression is evaluated and its value taken
+  /// as the verdict: NULL is kNull, a boolean is itself, anything else is
+  /// kNotBoolean.
+  Status EvalPredicate(const Expr& expr, ScopeStack& stack, Truth* out);
+  /// Points `*out` at the value of `expr` without copying it: a literal in
+  /// the AST, a `?` in params_, a column in its positioned row. Any other
+  /// expression is evaluated into `*scratch`. The pointer stays valid while
+  /// the row stays positioned and `*scratch` is untouched.
+  Status Operand(const Expr& expr, ScopeStack& stack, Value* scratch,
+                 const Value** out);
   /// Evaluates a predicate; the row passes only when the result is TRUE
   /// (NULL and FALSE both reject — SQL three-valued filter semantics).
   Result<bool> EvalFilter(const Expr& expr, ScopeStack& stack);
   Result<bool> ExistsAnyRow(const SelectStmt& sub, ScopeStack& stack);
 
-  /// Semi/anti-join probe: evaluates the probe keys in the current scope
-  /// and answers from the (possibly cached) build-side key set.
-  Result<Value> EvalHashJoin(const HashJoinExpr& join, ScopeStack& stack);
+  /// Semi/anti-join probe: reads the probe keys in the current scope and
+  /// answers from the (possibly cached) build-side key set; true when the
+  /// row passes (a hit for a semi-join, a miss for an anti-join).
+  Result<bool> EvalHashJoin(const HashJoinExpr& join, ScopeStack& stack);
   /// Returns the current key set for `join`, building (and caching) it if
   /// the cache is empty or stale.
   Result<std::shared_ptr<const HashJoinRuntime::KeySet>> HashJoinKeySet(

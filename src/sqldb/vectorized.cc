@@ -8,8 +8,8 @@
 // Outer slots stay row-at-a-time, which keeps the EXISTS early-out exact.
 // FilterChunks gathers live rows into chunks of row pointers and evaluates
 // the predicate with per-operator kernels over a selection vector, so the
-// interpreter recursion, Result<Value> plumbing, and Value copies of the
-// row-at-a-time filter are amortized over whole chunks:
+// interpreter recursion of the row-at-a-time filter is amortized over whole
+// chunks:
 //
 //   - comparisons, IN lists, LIKE, and IS NULL run as tight loops over
 //     operand "slices" (a broadcast scalar, a column of the chunk, or a

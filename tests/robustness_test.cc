@@ -237,6 +237,58 @@ TEST(SqlDepthTest, DatabaseStillAnswersAfterRejectingDeepInput) {
   EXPECT_EQ(after.value().rows.size(), 1u);
 }
 
+TEST(SqlSubqueryInDmlTest, ExistsInInsertValuesIsBoundNotACrash) {
+  // INSERT evaluates its VALUES with no row context; an EXISTS there used to
+  // scan a table the binder never resolved.
+  sqldb::Database db;
+  ASSERT_TRUE(db.ExecuteScript("CREATE TABLE t (a INTEGER, b VARCHAR(5));"
+                               "CREATE TABLE u (k INTEGER);"
+                               "CREATE INDEX u_k ON u (k);"
+                               "INSERT INTO u VALUES (1), (2);")
+                  .ok());
+  for (const char* sql : {
+           "INSERT INTO t VALUES ((EXISTS (SELECT * FROM u)), 'x')",
+           "INSERT INTO t (a) VALUES ((EXISTS (SELECT * FROM u)))",
+           "INSERT INTO t VALUES ((NOT EXISTS (SELECT * FROM u WHERE k = "
+           "2)), 'y'), (1, 'x')",
+           "INSERT INTO t (a) VALUES ((EXISTS (SELECT * FROM u WHERE k = 1 "
+           "AND EXISTS (SELECT * FROM u WHERE k = 2))))",
+       }) {
+    SCOPED_TRACE(sql);
+    // A predicate's verdict is a BOOLEAN, which no column type stores.
+    auto r = db.Execute(sql);
+    ASSERT_FALSE(r.ok());
+    EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument)
+        << r.status();
+  }
+  // Binding errors surface as Statuses too, before any row is inserted.
+  auto missing = db.Execute(
+      "INSERT INTO t (a) VALUES (2), ((EXISTS (SELECT * FROM nope)))");
+  ASSERT_FALSE(missing.ok());
+  EXPECT_EQ(missing.status().code(), StatusCode::kNotFound);
+  auto column = db.Execute("INSERT INTO t (a) VALUES (a)");
+  ASSERT_FALSE(column.ok());
+  EXPECT_EQ(column.status().code(), StatusCode::kNotFound);
+
+  // UPDATE binds its SET expressions through the WHERE probe: the same
+  // subquery answers cleanly there, and the table still serves reads and
+  // writes afterwards.
+  ASSERT_TRUE(db.Execute("INSERT INTO t VALUES (1, 'x'), (3, 'z')").ok());
+  auto update = db.Execute("UPDATE t SET a = (EXISTS (SELECT * FROM u))");
+  ASSERT_FALSE(update.ok());
+  EXPECT_EQ(update.status().code(), StatusCode::kInvalidArgument);
+  auto correlated = db.Execute(
+      "UPDATE t SET b = 'hit' WHERE EXISTS (SELECT * FROM u WHERE u.k = "
+      "t.a)");
+  ASSERT_TRUE(correlated.ok()) << correlated.status();
+  EXPECT_EQ(correlated.value().rows_affected, 1);
+  auto rows = db.Execute("SELECT a, b FROM t ORDER BY a");
+  ASSERT_TRUE(rows.ok()) << rows.status();
+  ASSERT_EQ(rows.value().rows.size(), 2u);
+  EXPECT_EQ(rows.value().rows[0][1].AsText(), "hit");
+  EXPECT_EQ(rows.value().rows[1][1].AsText(), "z");
+}
+
 TEST(XQueryDepthTest, DeepParenthesesAreAParseErrorNotAStackOverflow) {
   ExpectParseError(xquery::ParseQuery(XQueryNestedParens(100000)).status());
 }

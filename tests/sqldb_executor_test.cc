@@ -3,8 +3,11 @@
 
 #include <gtest/gtest.h>
 
+#include "sqldb/binder.h"
 #include "sqldb/database.h"
 #include "sqldb/executor.h"
+#include "sqldb/parser.h"
+#include "sqldb/planner.h"
 
 namespace p3pdb::sqldb {
 namespace {
@@ -115,6 +118,42 @@ TEST(SqlLikeMatchTest, Wildcards) {
   // Backtracking case: % must retry shorter matches.
   EXPECT_TRUE(SqlLikeMatch("aXbYb", "%b"));
   EXPECT_TRUE(SqlLikeMatch("mississippi", "%iss%pi"));
+}
+
+TEST(SqlLikeMatchTest, EdgeCases) {
+  // `_` needs a character; an empty text has none, even after `%`.
+  EXPECT_FALSE(SqlLikeMatch("", "_"));
+  EXPECT_FALSE(SqlLikeMatch("", "%_"));
+  EXPECT_FALSE(SqlLikeMatch("", "_%"));
+  EXPECT_TRUE(SqlLikeMatch("", ""));
+  EXPECT_FALSE(SqlLikeMatch("a", ""));
+  // `%%` runs behave as one `%`, wherever they sit.
+  EXPECT_TRUE(SqlLikeMatch("", "%%%"));
+  EXPECT_TRUE(SqlLikeMatch("abc", "a%%c"));
+  EXPECT_TRUE(SqlLikeMatch("abc", "%%b%%"));
+  EXPECT_FALSE(SqlLikeMatch("abc", "%%d%%"));
+  EXPECT_TRUE(SqlLikeMatch("ac", "a%%%c"));
+  // An escaped `%` or `_` is a literal.
+  EXPECT_TRUE(SqlLikeMatch("10%", "10!%", '!'));
+  EXPECT_FALSE(SqlLikeMatch("100", "10!%", '!'));
+  EXPECT_TRUE(SqlLikeMatch("a_b", "a!_b", '!'));
+  EXPECT_FALSE(SqlLikeMatch("axb", "a!_b", '!'));
+  EXPECT_TRUE(SqlLikeMatch("x%yz", "%!%%", '!'));
+  EXPECT_FALSE(SqlLikeMatch("xyz", "%!%%", '!'));
+  EXPECT_TRUE(SqlLikeMatch("a!b", "a!!b", '!'));
+  // An escaped ordinary character is that character.
+  EXPECT_TRUE(SqlLikeMatch("ab", "!a!b", '!'));
+  // An escape as the last pattern character escapes nothing: it matches
+  // itself.
+  EXPECT_TRUE(SqlLikeMatch("a!", "a!", '!'));
+  EXPECT_FALSE(SqlLikeMatch("a", "a!", '!'));
+  EXPECT_TRUE(SqlLikeMatch("xa!", "%a!", '!'));
+  // Without an escape character, `!` and `\` are literals.
+  EXPECT_TRUE(SqlLikeMatch("a!%", "a!%"));
+  EXPECT_TRUE(SqlLikeMatch("a\\x", "a\\_"));
+  // Backtracking after an escaped literal.
+  EXPECT_TRUE(SqlLikeMatch("_x_y", "%!_y", '!'));
+  EXPECT_FALSE(SqlLikeMatch("_x_", "%!_y", '!'));
 }
 
 TEST_F(SqldbTest, CrossJoinTwoTables) {
@@ -509,6 +548,225 @@ TEST(SqldbExistsInAggregateTest, RunsUnderEverySetting) {
         EXPECT_EQ(stats.batches, 0u);
       }
     }
+  }
+}
+
+// --- Predicate evaluator parity ---------------------------------------------
+// WHERE filters, EXISTS bodies and projected predicates share one
+// three-valued evaluator; these pin its NULL semantics, its error text and
+// its comparison count.
+
+TEST_F(SqldbTest, NullOnEitherSideOfEveryComparison) {
+  MustScript(
+      "CREATE TABLE t (a INTEGER, b VARCHAR(5));"
+      "INSERT INTO t VALUES (1, 'x'), (NULL, NULL);");
+  for (const char* op : {"=", "<>", "<", "<=", ">", ">="}) {
+    SCOPED_TRACE(op);
+    const std::string o = op;
+    for (const std::string& pred :
+         {"a " + o + " NULL", "NULL " + o + " a", "b " + o + " NULL",
+          "NULL " + o + " b", "NULL " + o + " NULL"}) {
+      SCOPED_TRACE(pred);
+      // UNKNOWN rejects the row, and so does its negation.
+      EXPECT_EQ(MustExecute("SELECT * FROM t WHERE " + pred).rows.size(), 0u);
+      EXPECT_EQ(
+          MustExecute("SELECT * FROM t WHERE NOT (" + pred + ")").rows.size(),
+          0u);
+      EXPECT_EQ(MustExecute("SELECT * FROM t WHERE (" + pred + ") IS NULL")
+                    .rows.size(),
+                2u);
+      // Projected, the verdict is a NULL value.
+      QueryResult projected = MustExecute("SELECT " + pred + " FROM t");
+      ASSERT_EQ(projected.rows.size(), 2u);
+      EXPECT_TRUE(projected.rows[0][0].is_null());
+      EXPECT_TRUE(projected.rows[1][0].is_null());
+    }
+    // A NULL row against a non-null operand is UNKNOWN on either side; the
+    // non-null row answers.
+    const size_t lhs =
+        MustExecute("SELECT * FROM t WHERE a " + o + " 1").rows.size();
+    const size_t rhs =
+        MustExecute("SELECT * FROM t WHERE 1 " + o + " a").rows.size();
+    const bool reflexive = o == "=" || o == "<=" || o == ">=";
+    EXPECT_EQ(lhs, reflexive ? 1u : 0u);
+    EXPECT_EQ(rhs, reflexive ? 1u : 0u);
+    const size_t text =
+        MustExecute("SELECT * FROM t WHERE b " + o + " 'x'").rows.size();
+    EXPECT_EQ(text, reflexive ? 1u : 0u);
+  }
+}
+
+TEST_F(SqldbTest, PredicateErrorTextIsExact) {
+  MustScript(
+      "CREATE TABLE t (a INTEGER, b VARCHAR(5));"
+      "INSERT INTO t VALUES (1, 'x');");
+  auto expect_error = [&](const std::string& sql, const std::string& message) {
+    SCOPED_TRACE(sql);
+    auto r = db_.Execute(sql);
+    ASSERT_FALSE(r.ok());
+    EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_EQ(r.status().message(), message);
+  };
+  expect_error("SELECT * FROM t WHERE a", "WHERE clause is not a boolean");
+  expect_error("SELECT * FROM t WHERE 1", "WHERE clause is not a boolean");
+  expect_error("SELECT * FROM t WHERE a = 1 AND b",
+               "logical operand is not a boolean: b");
+  expect_error("SELECT * FROM t WHERE a = 2 OR a",
+               "logical operand is not a boolean: a");
+  expect_error("SELECT * FROM t WHERE NOT a", "NOT applied to non-boolean");
+  expect_error("SELECT a = 1 AND b FROM t",
+               "logical operand is not a boolean: b");
+  expect_error("SELECT NOT b FROM t", "NOT applied to non-boolean");
+  // Mixed-type comparisons name the operand types in evaluation order: `>`
+  // and `<=` compare right against left.
+  expect_error("SELECT * FROM t WHERE a = 'x'",
+               "cannot compare INTEGER with TEXT");
+  expect_error("SELECT * FROM t WHERE a <> b",
+               "cannot compare INTEGER with TEXT");
+  expect_error("SELECT * FROM t WHERE a < b",
+               "cannot compare INTEGER with TEXT");
+  expect_error("SELECT * FROM t WHERE a >= b",
+               "cannot compare INTEGER with TEXT");
+  expect_error("SELECT * FROM t WHERE a > b",
+               "cannot compare TEXT with INTEGER");
+  expect_error("SELECT * FROM t WHERE a <= b",
+               "cannot compare TEXT with INTEGER");
+  expect_error("SELECT * FROM t WHERE b IN (1)",
+               "cannot compare TEXT with INTEGER");
+  expect_error("SELECT * FROM t WHERE a LIKE 'x'",
+               "LIKE requires text operands");
+  // Booleans compare for equality only.
+  expect_error("SELECT * FROM t WHERE (a = 1) < (a = 1)",
+               "cannot compare BOOLEAN with BOOLEAN");
+  EXPECT_EQ(MustExecute("SELECT * FROM t WHERE (a = 1) = (b = 'x')")
+                .rows.size(),
+            1u);
+}
+
+TEST_F(SqldbTest, NonBooleanColumnAsPredicate) {
+  MustScript(
+      "CREATE TABLE t (a INTEGER);"
+      "CREATE TABLE n (a INTEGER);"
+      "INSERT INTO t VALUES (7);"
+      "INSERT INTO n VALUES (NULL);");
+  auto r = db_.Execute("SELECT * FROM t WHERE a");
+  ASSERT_FALSE(r.ok());
+  EXPECT_EQ(r.status().message(), "WHERE clause is not a boolean");
+  // Inside an EXISTS body the same check holds.
+  auto sub = db_.Execute("SELECT 1 WHERE EXISTS (SELECT * FROM t WHERE a)");
+  ASSERT_FALSE(sub.ok());
+  EXPECT_EQ(sub.status().message(), "WHERE clause is not a boolean");
+  // A NULL is UNKNOWN before it is a type: the row is filtered, no error.
+  EXPECT_EQ(MustExecute("SELECT * FROM n WHERE a").rows.size(), 0u);
+  EXPECT_EQ(MustExecute("SELECT * FROM n WHERE NOT a").rows.size(), 0u);
+  EXPECT_EQ(MustExecute("SELECT * FROM n WHERE a OR a IS NULL").rows.size(),
+            1u);
+  // DML probes run the same filter.
+  auto del = db_.Execute("DELETE FROM t WHERE a");
+  ASSERT_FALSE(del.ok());
+  EXPECT_EQ(del.status().message(), "WHERE clause is not a boolean");
+}
+
+TEST_F(SqldbTest, UnboundParameterIsAnError) {
+  MustScript("CREATE TABLE t (a INTEGER); INSERT INTO t VALUES (1);");
+  auto parsed = ParseStatement("SELECT a FROM t WHERE a = ?");
+  ASSERT_TRUE(parsed.ok()) << parsed.status();
+  auto* select = static_cast<SelectStmt*>(parsed.value().get());
+  Binder binder(db_, 32);
+  ASSERT_TRUE(binder.BindSelect(select).ok());
+  AnnotateSelect(select);
+  PrecomputeExecHints(select);
+  const std::string want =
+      "unbound parameter: statement uses '?' placeholder 1 but 0 value(s) "
+      "were supplied";
+  ExecStats stats;
+  Executor none(&stats);
+  auto r = none.RunSelect(*select);
+  ASSERT_FALSE(r.ok());
+  EXPECT_EQ(r.status().message(), want);
+  const std::vector<Value> empty;
+  Executor short_list(&stats, &empty);
+  auto r2 = short_list.RunSelect(*select);
+  ASSERT_FALSE(r2.ok());
+  EXPECT_EQ(r2.status().message(), want);
+  const std::vector<Value> one = {Value::Integer(1)};
+  Executor bound(&stats, &one);
+  auto r3 = bound.RunSelect(*select);
+  ASSERT_TRUE(r3.ok()) << r3.status();
+  EXPECT_EQ(r3.value().rows.size(), 1u);
+}
+
+TEST(SqldbRuleQueryStatsTest, CountersMatchPinnedValues) {
+  // A rule query in the paper's Fig 13 shape: the policy is a `?`, each
+  // nested EXISTS joins a child to its parent, with IN, <>, LIKE and NOT
+  // EXISTS tests at the leaves. The counters are pinned so a change to the
+  // evaluator cannot silently evaluate more (or fewer) comparisons.
+  struct Pinned {
+    bool planner;
+    uint64_t comparisons, subquery_evals, rows_scanned, index_lookups;
+  };
+  for (const Pinned& want : {Pinned{false, 44, 13, 18, 16},
+                             Pinned{true, 22, 0, 21, 3}}) {
+    SCOPED_TRACE(::testing::Message() << "planner=" << want.planner);
+    Database::Options options;
+    options.enable_planner = want.planner;
+    options.enable_cost_model = true;
+    options.enable_vectorized_executor = true;
+    Database db(options);
+    ASSERT_TRUE(
+        db.ExecuteScript(
+              "CREATE TABLE Policy (policy_id INTEGER, PRIMARY KEY "
+              "(policy_id));"
+              "CREATE TABLE Stmt (policy_id INTEGER, statement_id INTEGER);"
+              "CREATE INDEX stmt_p ON Stmt (policy_id);"
+              "CREATE TABLE Purpose (policy_id INTEGER, statement_id "
+              "INTEGER, purpose VARCHAR(20), required VARCHAR(10));"
+              "CREATE INDEX purpose_ps ON Purpose (policy_id, statement_id);"
+              "CREATE TABLE Recipient (policy_id INTEGER, statement_id "
+              "INTEGER, recipient VARCHAR(20));"
+              "CREATE INDEX recipient_ps ON Recipient (policy_id, "
+              "statement_id);"
+              "CREATE TABLE DataRef (policy_id INTEGER, statement_id "
+              "INTEGER, ref VARCHAR(40));"
+              "CREATE INDEX dataref_ps ON DataRef (policy_id, statement_id);"
+              "INSERT INTO Policy VALUES (1), (2), (3);"
+              "INSERT INTO Stmt VALUES (1, 1), (1, 2), (2, 1), (3, 1), "
+              "(3, 2);"
+              "INSERT INTO Purpose VALUES (1, 1, 'current', 'always'), "
+              "(1, 2, 'telemarketing', 'opt-out'), (2, 1, 'contact', "
+              "'always'), (3, 1, 'admin', NULL), (3, 2, 'telemarketing', "
+              "'opt-out');"
+              "INSERT INTO Recipient VALUES (1, 1, 'ours'), (1, 2, "
+              "'public'), (2, 1, 'ours'), (3, 2, 'public');"
+              "INSERT INTO DataRef VALUES (1, 1, '#user.name'), (1, 2, "
+              "'#user.home-info.telecom'), (2, 1, '#user.home-info.postal'), "
+              "(3, 2, '#dynamic.clickstream');")
+            .ok());
+    const std::string rule =
+        "SELECT 1 FROM Policy WHERE Policy.policy_id = ? AND EXISTS ("
+        "SELECT * FROM Stmt WHERE Stmt.policy_id = Policy.policy_id AND "
+        "EXISTS (SELECT * FROM Purpose WHERE Purpose.policy_id = "
+        "Stmt.policy_id AND Purpose.statement_id = Stmt.statement_id AND "
+        "Purpose.purpose IN ('telemarketing', 'contact') AND "
+        "(Purpose.required IS NULL OR Purpose.required <> 'opt-in')) AND "
+        "(NOT EXISTS (SELECT * FROM Recipient WHERE Recipient.policy_id = "
+        "Stmt.policy_id AND Recipient.statement_id = Stmt.statement_id AND "
+        "Recipient.recipient = 'public') OR EXISTS (SELECT * FROM DataRef "
+        "WHERE DataRef.policy_id = Stmt.policy_id AND DataRef.statement_id "
+        "= Stmt.statement_id AND DataRef.ref LIKE '#user.home-info%')))";
+    db.ResetStats();
+    std::vector<bool> fired;
+    for (int64_t id = 1; id <= 3; ++id) {
+      auto r = db.Execute(rule, {Value::Integer(id)});
+      ASSERT_TRUE(r.ok()) << r.status();
+      fired.push_back(!r.value().rows.empty());
+    }
+    EXPECT_EQ(fired, (std::vector<bool>{true, true, false}));
+    const ExecStats stats = db.stats();
+    EXPECT_EQ(stats.comparisons, want.comparisons);
+    EXPECT_EQ(stats.subquery_evals, want.subquery_evals);
+    EXPECT_EQ(stats.rows_scanned, want.rows_scanned);
+    EXPECT_EQ(stats.index_lookups, want.index_lookups);
   }
 }
 

@@ -46,10 +46,60 @@ TriBool TriNot(TriBool a) {
   return !*a;
 }
 
-/// Columns: 0 = a INTEGER, 1 = b INTEGER, 2 = c VARCHAR.
+/// Reference LIKE for the oracle, written independently of SqlLikeMatch:
+/// tokenize (an escape makes the next character literal; an escape as the
+/// last character is itself a literal), then match by plain recursion.
+bool ReferenceLike(const std::string& text, const std::string& pattern,
+                   char escape) {
+  enum Kind { kChar, kRun, kOne };
+  std::vector<std::pair<Kind, char>> toks;
+  for (size_t i = 0; i < pattern.size(); ++i) {
+    const char ch = pattern[i];
+    if (escape != '\0' && ch == escape && i + 1 < pattern.size()) {
+      toks.push_back({kChar, pattern[++i]});
+    } else {
+      toks.push_back({ch == '%' ? kRun : ch == '_' ? kOne : kChar, ch});
+    }
+  }
+  std::function<bool(size_t, size_t)> match = [&](size_t ti, size_t pi) {
+    if (pi == toks.size()) return ti == text.size();
+    if (toks[pi].first == kRun) {
+      for (size_t k = ti; k <= text.size(); ++k) {
+        if (match(k, pi + 1)) return true;
+      }
+      return false;
+    }
+    if (ti == text.size()) return false;
+    if (toks[pi].first == kChar && toks[pi].second != text[ti]) return false;
+    return match(ti + 1, pi + 1);
+  };
+  return match(0, 0);
+}
+
+/// `a op b` for op in =, <>, <, <=, >, >= (index 0..5).
+template <typename T>
+bool Holds(int op, const T& a, const T& b) {
+  switch (op) {
+    case 0: return a == b;
+    case 1: return a != b;
+    case 2: return a < b;
+    case 3: return a <= b;
+    case 4: return a > b;
+    default: return a >= b;
+  }
+}
+
+const char* const kOps[] = {"=", "<>", "<", "<=", ">", ">="};
+
+/// Columns: 0 = a INTEGER, 1 = b INTEGER, 2 = c VARCHAR, and with
+/// `text_pair` 3 = d VARCHAR. `text_pair` adds text-to-text and
+/// text-to-literal comparisons under all six operators and LIKE ... ESCAPE;
+/// without it the generator draws exactly what it did before they existed,
+/// so the batteries over `t(a, b, c)` keep their queries.
 class PredicateGen {
  public:
-  explicit PredicateGen(Random* rng) : rng_(rng) {}
+  explicit PredicateGen(Random* rng, bool text_pair = false)
+      : rng_(rng), text_pair_(text_pair) {}
 
   Predicate Generate(int depth) {
     if (depth <= 0 || rng_->Bernoulli(0.4)) return Leaf();
@@ -77,26 +127,17 @@ class PredicateGen {
 
  private:
   Predicate Leaf() {
-    switch (rng_->Uniform(5)) {
+    switch (rng_->Uniform(text_pair_ ? 7 : 5)) {
       case 0: {  // integer comparison against a literal
         size_t col = rng_->Uniform(2);
         int64_t lit = rng_->UniformInt(0, 5);
-        const char* ops[] = {"=", "<>", "<", "<=", ">", ">="};
         int op = rng_->UniformInt(0, 5);
         std::string col_name = col == 0 ? "a" : "b";
         Predicate p;
-        p.sql = col_name + " " + ops[op] + " " + std::to_string(lit);
+        p.sql = col_name + " " + kOps[op] + " " + std::to_string(lit);
         p.eval = [col, lit, op](const Row& row) -> TriBool {
           if (row[col].is_null()) return std::nullopt;
-          int64_t v = row[col].AsInteger();
-          switch (op) {
-            case 0: return v == lit;
-            case 1: return v != lit;
-            case 2: return v < lit;
-            case 3: return v <= lit;
-            case 4: return v > lit;
-            default: return v >= lit;
-          }
+          return Holds(op, row[col].AsInteger(), lit);
         };
         return p;
       }
@@ -110,9 +151,9 @@ class PredicateGen {
         return p;
       }
       case 2: {  // IS [NOT] NULL
-        size_t col = rng_->Uniform(3);
+        size_t col = rng_->Uniform(text_pair_ ? 4 : 3);
         bool negated = rng_->Bernoulli(0.5);
-        static const char* names[] = {"a", "b", "c"};
+        static const char* names[] = {"a", "b", "c", "d"};
         Predicate p;
         p.sql = std::string(names[col]) + (negated ? " IS NOT NULL"
                                                    : " IS NULL");
@@ -146,14 +187,56 @@ class PredicateGen {
         };
         return p;
       }
-      default: {  // LIKE on text
-        static const char* patterns[] = {"%x%", "x%", "%z", "_", "%", "x_z"};
-        std::string pattern = patterns[rng_->Uniform(6)];
+      case 5: {  // text comparison: column to column, or to a literal
+        static const char* lits[] = {"x", "xz", "y", "", "x%", "_z"};
+        const int op = rng_->UniformInt(0, 5);
+        // Operand slots: column index, or -1 for the literal.
+        int lhs = 2, rhs = 3;
+        const std::string lit = lits[rng_->Uniform(6)];
+        switch (rng_->Uniform(3)) {
+          case 0: break;             // c op d
+          case 1: rhs = -1; break;   // c op 'lit'
+          default: lhs = -1; break;  // 'lit' op d
+        }
+        auto sql_of = [&](int col) {
+          return col < 0 ? "'" + lit + "'" : std::string(col == 2 ? "c" : "d");
+        };
         Predicate p;
-        p.sql = "c LIKE '" + pattern + "'";
-        p.eval = [pattern](const Row& row) -> TriBool {
-          if (row[2].is_null()) return std::nullopt;
-          return SqlLikeMatch(row[2].AsText(), pattern);
+        p.sql = sql_of(lhs) + " " + kOps[op] + " " + sql_of(rhs);
+        p.eval = [lhs, rhs, lit, op](const Row& row) -> TriBool {
+          const Value l = lhs < 0 ? Value::Text(lit) : row[lhs];
+          const Value r = rhs < 0 ? Value::Text(lit) : row[rhs];
+          if (l.is_null() || r.is_null()) return std::nullopt;
+          return Holds(op, l.AsText(), r.AsText());
+        };
+        return p;
+      }
+      case 6: {  // LIKE with ESCAPE '!'
+        static const char* patterns[] = {"x!%",  "%!_%", "!x%", "%!%",
+                                         "_!_",  "x%!",  "!!%", "%z!"};
+        const std::string pattern = patterns[rng_->Uniform(8)];
+        const size_t col = 2 + rng_->Uniform(2);
+        const bool negated = rng_->Bernoulli(0.3);
+        Predicate p;
+        p.sql = std::string(col == 2 ? "c" : "d") +
+                (negated ? " NOT LIKE '" : " LIKE '") + pattern +
+                "' ESCAPE '!'";
+        p.eval = [pattern, col, negated](const Row& row) -> TriBool {
+          if (row[col].is_null()) return std::nullopt;
+          return ReferenceLike(row[col].AsText(), pattern, '!') != negated;
+        };
+        return p;
+      }
+      default: {  // LIKE on text
+        static const char* patterns[] = {"%x%", "x%", "%z", "_",  "%",
+                                         "x_z", "%%", "_%", "%_%_", ""};
+        std::string pattern = patterns[rng_->Uniform(text_pair_ ? 10 : 6)];
+        const size_t col = text_pair_ ? 2 + rng_->Uniform(2) : 2;
+        Predicate p;
+        p.sql = std::string(col == 2 ? "c" : "d") + " LIKE '" + pattern + "'";
+        p.eval = [pattern, col](const Row& row) -> TriBool {
+          if (row[col].is_null()) return std::nullopt;
+          return ReferenceLike(row[col].AsText(), pattern, '\0');
         };
         return p;
       }
@@ -161,6 +244,7 @@ class PredicateGen {
   }
 
   Random* rng_;
+  bool text_pair_;
 };
 
 /// Correlated-subquery generator for the plan-equivalence battery. Emits
@@ -225,41 +309,53 @@ INSTANTIATE_TEST_SUITE_P(Seeds, SqldbRandomTest,
 
 TEST_P(SqldbRandomTest, ExecutorAgreesWithBruteForce) {
   Random rng(GetParam());
+  // The 60-row scan filters in chunks when vectorization is on (the
+  // environment's default); the second database pins the row-at-a-time
+  // evaluator, so both answer to the same oracle.
+  Database::Options row_options;
+  row_options.enable_vectorized_executor = false;
   Database db;
-  ASSERT_TRUE(
-      db.ExecuteScript("CREATE TABLE t (a INTEGER, b INTEGER, c VARCHAR(4));")
-          .ok());
+  Database row_db(row_options);
+  for (Database* d : {&db, &row_db}) {
+    ASSERT_TRUE(d->ExecuteScript("CREATE TABLE t (a INTEGER, b INTEGER, "
+                                 "c VARCHAR(4), d VARCHAR(4));")
+                    .ok());
+  }
 
-  // Random data with plenty of NULLs and duplicate values.
+  // Random data with plenty of NULLs and duplicate values; some texts carry
+  // the LIKE wildcards as data, for the ESCAPE patterns to find.
   std::vector<Row> rows;
-  static const char* texts[] = {"x", "y", "z", "w", "xz", "xyz"};
+  static const char* texts[] = {"x", "y", "z", "w", "xz", "xyz",
+                                "x%", "_z", "x!", "!x", ""};
   for (int i = 0; i < 60; ++i) {
     Row row;
     row.push_back(rng.Bernoulli(0.2) ? Value::Null()
                                      : Value::Integer(rng.UniformInt(0, 5)));
     row.push_back(rng.Bernoulli(0.2) ? Value::Null()
                                      : Value::Integer(rng.UniformInt(0, 5)));
-    row.push_back(rng.Bernoulli(0.2)
-                      ? Value::Null()
-                      : Value::Text(texts[rng.Uniform(6)]));
-    ASSERT_TRUE(db.InsertRow("t", row).ok());
+    for (int text_col = 0; text_col < 2; ++text_col) {
+      row.push_back(rng.Bernoulli(0.2) ? Value::Null()
+                                       : Value::Text(texts[rng.Uniform(11)]));
+    }
+    for (Database* d : {&db, &row_db}) ASSERT_TRUE(d->InsertRow("t", row).ok());
     rows.push_back(std::move(row));
   }
 
-  PredicateGen gen(&rng);
-  for (int trial = 0; trial < 60; ++trial) {
+  PredicateGen gen(&rng, /*text_pair=*/true);
+  for (int trial = 0; trial < 120; ++trial) {
     Predicate pred = gen.Generate(3);
-    auto result =
-        db.Execute("SELECT COUNT(*) FROM t WHERE " + pred.sql);
-    ASSERT_TRUE(result.ok()) << result.status() << "\nWHERE " << pred.sql;
-    int64_t engine_count = result.value().rows[0][0].AsInteger();
-
     int64_t brute_count = 0;
     for (const Row& row : rows) {
       TriBool verdict = pred.eval(row);
       if (verdict.has_value() && *verdict) ++brute_count;
     }
-    ASSERT_EQ(engine_count, brute_count) << "WHERE " << pred.sql;
+    for (Database* d : {&db, &row_db}) {
+      auto result = d->Execute("SELECT COUNT(*) FROM t WHERE " + pred.sql);
+      ASSERT_TRUE(result.ok()) << result.status() << "\nWHERE " << pred.sql;
+      ASSERT_EQ(result.value().rows[0][0].AsInteger(), brute_count)
+          << "WHERE " << pred.sql << " (vectorized="
+          << d->options().enable_vectorized_executor << ")";
+    }
   }
 }
 
